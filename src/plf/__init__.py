@@ -5,6 +5,10 @@ axiomatic assertions; nothing about any particular logic is baked in.  The
 package provides a goal-directed proof-search engine built on unification of
 substitution sets, an independent witness-checking verifier, and a
 brute-force saturation oracle for cross-validation at desk scale.
+
+Only the entry points are re-exported here; everything else lives in its
+submodule (``plf.grammar``, ``plf.term``, ``plf.system``, ``plf.proof``,
+``plf.search``, ``plf.oracle``, ``plf.errors``).
 """
 
 from .errors import (
@@ -22,90 +26,29 @@ from .errors import (
     UnknownStatementError,
     UniverseOverflowError,
 )
-from .grammar import (
-    Apply,
-    Expression,
-    Grammar,
-    Kind,
-    Lit,
-    Production,
-    Slot,
-    Var,
-    VariableDecl,
-    kind_coercible,
-    parse_all,
-    parse_any_kind,
-    parse_expression,
-    render_expression,
-    render_string,
-)
-from .oracle import (
-    Saturation,
-    SaturationBounds,
-    dump_derived,
-    expression_universe,
-    oracle_proofs,
-    provable,
-    saturate,
-)
+from .grammar import render_string
+from .oracle import SaturationBounds, saturate
 from .proof import (
     Inference,
     ProofNode,
-    ProofTree,
     Violation,
     check_proof,
     check_statement_proof,
-    congruent,
-    generality,
     parse_proof,
-    proof_leaves,
     serialize_proof,
-    substitute_proof,
 )
-from .search import (
-    Certificate,
-    Exhausted,
-    GoalNode,
-    LimitReached,
-    Proved,
-    RuleNode,
-    SearchLimits,
-    SearchOutcome,
-    SearchState,
-    SearchStats,
-    expand_enode,
-    extract_proof,
-    init_search,
-    propagate_anode,
-    propagate_enode,
-    run,
-    seed_leaf_spts,
-)
-from .system import (
-    Assertion,
-    DeductiveSystem,
-    FreshSupply,
-    Statement,
-    assertion_variables,
-    fresh_variable_map,
-    load_system,
-    rename_assertion,
-    render_system,
-)
-from .term import (
-    EMPTY,
-    Substitution,
-    apply,
-    compose,
-    freeze_expression,
-    match_expression,
-    match_many,
-    replaceable_variables,
-    restrict,
-    substitution_text,
-    unify_expressions,
-    unify_substitutions,
-    variables_of,
-)
+from .search import Exhausted, LimitReached, Proved, SearchLimits, init_search, run
+from .system import Assertion, DeductiveSystem, Statement, load_system, render_system
 
+__all__ = [
+    "AmbiguousParseError", "DuplicateIdError", "FrameworkError", "GoalNotDerivedError",
+    "KindMismatchError", "NoParseError", "ProofSyntaxError", "SystemSyntaxError",
+    "UndeclaredVariableError", "UnknownAssertionError", "UnknownKindError",
+    "UnknownStatementError", "UniverseOverflowError",
+    "Assertion", "DeductiveSystem", "Statement", "load_system", "render_system",
+    "Exhausted", "LimitReached", "Proved", "SearchLimits", "init_search", "run",
+    "Inference", "ProofNode", "Violation", "check_proof", "check_statement_proof",
+    "parse_proof", "serialize_proof",
+    "SaturationBounds", "saturate", "render_string",
+]
 __version__ = "0.1.0"

@@ -130,10 +130,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FrameworkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FrameworkError, OSError, RecursionError) as exc:
+        # RecursionError: input nested deeper than the recursive walkers allow
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

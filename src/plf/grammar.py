@@ -199,12 +199,6 @@ class Grammar:
         except KeyError:
             raise UnknownKindError(f"unknown kind {name!r}") from None
 
-    def production(self, pid: str) -> Production:
-        for p in self.productions:
-            if p.id == pid:
-                return p
-        raise KeyError(pid)
-
     def variable(self, name: str, replaceable: bool = True) -> Var:
         decl = self.resolve_variable(name)
         if decl is None:
@@ -238,13 +232,6 @@ class Grammar:
             f"Grammar(kinds={list(self.kinds)}, productions={len(self.productions)}, "
             f"variables={len(self.variables)})"
         )
-
-
-def kind_coercible(g: Grammar, var_kind: str, expr_kind: str) -> bool:
-    """True iff an expression of ``expr_kind`` may stand for a variable of
-    ``var_kind`` (reflexive)."""
-    target = g.kind(expr_kind)
-    return target.name in g.kind(var_kind).accepts
 
 
 class _Chart:

@@ -10,10 +10,11 @@ on purpose; it shares nothing with the search code.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional, Sequence
 
 from .errors import GoalNotDerivedError, UniverseOverflowError
-from .grammar import Apply, Expression, Lit, Slot, Var
+from .grammar import Apply, Expression, Lit, Slot, Var, render_string
 from .proof import Inference, ProofNode
 from .system import DeductiveSystem, Statement, assertion_variables
 from .term import Substitution, apply, variables_of
@@ -100,12 +101,7 @@ def expression_universe(grammar, pool: Sequence[Var], max_tokens: int, cap: int)
                 continue
             for comp in compositions(budget, len(slots)):
                 pools = [slot_options(k, n) for k, n in zip(slots, comp)]
-                if any(not p for p in pools):
-                    continue
-                stack = [()]
-                for options in pools:
-                    stack = [prefix + (o,) for prefix in stack for o in options]
-                for kids in stack:
+                for kids in product(*pools):
                     add(Apply(prod, kids))
         by_len[length] = bucket
 
@@ -152,14 +148,9 @@ def saturate(d: DeductiveSystem, s: Statement, b: SaturationBounds) -> Saturatio
     for rnd in range(1, b.max_rounds + 1):
         new = {}
         for a, avars, pools in plans:
-            if any(not p for p in pools):
-                continue
             if not a.premises and rnd > 1:
                 continue  # instance set is fixed; round 1 already found it all
-            assignments = [()]
-            for options in pools:
-                assignments = [prefix + (img,) for prefix in assignments for img in options]
-            for images in assignments:
+            for images in product(*pools):
                 theta = Substitution(zip(avars, images))
                 instances = tuple(apply(theta, p) for p in a.premises)
                 if any(inst not in known for inst in instances):
@@ -222,12 +213,7 @@ def oracle_proofs(
                 continue
             for split in _splits(just.premises, budget - 1, premises):
                 options = [build(p, c) for p, c in zip(just.premises, split)]
-                if any(not o for o in options):
-                    continue
-                combos = [()]
-                for opts in options:
-                    combos = [prefix + (k,) for prefix in combos for k in opts]
-                for kids in combos:
+                for kids in product(*options):
                     out.append(ProofNode(expr, Inference(just.assertion_id, just.witness, kids)))
         memo[key] = out
         return out
@@ -259,7 +245,5 @@ def oracle_proofs(
 
 
 def dump_derived(sat: Saturation) -> str:
-    from .grammar import render_string
-
     lines = sorted(render_string(e) for e in sat.derived)
     return "\n".join(lines) + ("\n" if lines else "")

@@ -43,9 +43,6 @@ class ProofNode:
     inference: Optional[Inference] = None
 
 
-ProofTree = ProofNode
-
-
 @dataclass(frozen=True)
 class Violation:
     path: str

@@ -30,17 +30,12 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Optional, Union
 
-from .grammar import Expression, render_string
-from .proof import Inference, ProofNode, check_proof, proof_leaves
-from .system import (
-    Assertion,
-    DeductiveSystem,
-    FreshSupply,
-    Statement,
-    fresh_variable_map,
-)
+from .grammar import Expression
+from .proof import Inference, ProofNode, check_statement_proof
+from .system import Assertion, DeductiveSystem, FreshSupply, Statement, rename_assertion
 from .term import (
     EMPTY,
     Substitution,
@@ -70,7 +65,6 @@ class SearchStats:
     certificates: int = 0
     tuples_tested: int = 0
     tuples_unified: int = 0
-    duplicate_expressions: int = 0
     wall_time: float = 0.0
 
     @property
@@ -117,7 +111,6 @@ class GoalNode:
     scope: frozenset  # replaceable variables of the expression
     children: list = field(default_factory=list)
     certs: list = field(default_factory=list)
-    expanded: bool = False
 
 
 @dataclass
@@ -162,21 +155,15 @@ class SearchState:
         self.proved: Optional[int] = None
         self.limit_hit: Optional[str] = None
         self.certs_capped = False
-        self.seeded = False
-        self._cert_keys = {}  # node id (signed by type) -> set of dedup keys
-        self._seen_expressions = set()
+        self._cert_keys = {}  # (at_rule, node id) -> set of dedup keys
 
-        root = self._new_goal(statement.goal, depth=0, parent=None)
-        self.root = root
+        self.root = self._new_goal(statement.goal, depth=0, parent=None)
 
     # -- node and certificate construction --------------------------------
 
     def _new_goal(self, expression, depth, parent) -> int:
         gid = self.stats.goal_nodes
         self.stats.goal_nodes += 1
-        if expression in self._seen_expressions:
-            self.stats.duplicate_expressions += 1
-        self._seen_expressions.add(expression)
         self.goals[gid] = GoalNode(
             gid,
             expression,
@@ -195,7 +182,7 @@ class SearchState:
 
     def _add_cert(self, node_id, at_rule, label, children, com=EMPTY, delta=EMPTY):
         holder = self.rules[node_id] if at_rule else self.goals[node_id]
-        key = (label.key(), children)
+        key = (label, children)
         keyset = self._cert_keys.setdefault((at_rule, node_id), set())
         if key in keyset:
             return None
@@ -208,11 +195,19 @@ class SearchState:
         cert = Certificate(cid, node_id, at_rule, label, children, com, delta)
         self.certs[cid] = cert
         holder.certs.append(cid)
+        if self.trace is not None:
+            tag = f"{'a' if at_rule else 'e'}{node_id} {substitution_text(label)}"
+            if at_rule or children:
+                stats = self.stats
+                self.trace(f"SPT {tag} tuples={stats.tuples_tested}/{stats.tuples_unified}")
+            else:
+                self.trace(f"SPT-LEAF {tag}")
         return cid
 
-    def _emit(self, line):
+    def _emit(self, *parts):
+        """One trace line; the text is built only when a callback is set."""
         if self.trace is not None:
-            self.trace(line)
+            self.trace(" ".join(p if isinstance(p, str) else substitution_text(p) for p in parts))
 
 
 def init_search(
@@ -241,7 +236,6 @@ def seed_leaf_spts(state: SearchState, goal_id: int) -> list:
         cid = state._add_cert(goal_id, False, sigma, ())
         if cid is None:
             continue
-        state._emit(f"SPT-LEAF e{goal_id} {substitution_text(sigma)}")
         created.append(cid)
         _after_goal_cert(state, goal_id, cid)
         if state.proved is not None:
@@ -254,22 +248,12 @@ def expand_enode(state: SearchState, goal_id: int) -> list:
     with its expression; instantiate premises as child goals, seed them, and
     schedule them FIFO."""
     goal = state.goals[goal_id]
-    goal.expanded = True
     state._emit(f"EXPAND e{goal_id}")
     created = []
     for a in state.system.assertions:
         if state.proved is not None or state.limit_hit is not None:
             break
-        rename = fresh_variable_map(a, state.supply.take())
-        if rename:
-            ren = Substitution(rename)
-            renamed = Assertion(
-                a.id,
-                tuple(apply(ren, p) for p in a.premises),
-                apply(ren, a.proposition),
-            )
-        else:
-            renamed = a
+        renamed, rename = rename_assertion(a, state.supply)
         theta = unify_expressions(renamed.proposition, goal.expression)
         if theta is None:
             continue
@@ -278,22 +262,15 @@ def expand_enode(state: SearchState, goal_id: int) -> list:
             break
         rid = state._new_rule(renamed, rename, theta, goal_id)
         created.append(rid)
-        state._emit(f"ANODE a{rid} {a.id} {substitution_text(theta)}")
+        state._emit(f"ANODE a{rid}", a.id, theta)
         assert apply(theta, renamed.proposition) == apply(theta, goal.expression)
         if not renamed.premises:
             label = restrict(theta, goal.scope)  # com of the empty tuple set is empty
-            cid = state._add_cert(rid, True, label, (), EMPTY, EMPTY)
+            cid = state._add_cert(rid, True, label, ())
             if cid is not None:
-                state._emit(
-                    f"SPT a{rid} {substitution_text(label)} "
-                    f"tuples={state.stats.tuples_tested}/{state.stats.tuples_unified}"
-                )
                 propagate_enode(state, goal_id, cid)
             continue
-        kids = []
-        for premise in renamed.premises:
-            kid = state._new_goal(apply(theta, premise), goal.depth + 1, rid)
-            kids.append(kid)
+        kids = [state._new_goal(apply(theta, p), goal.depth + 1, rid) for p in renamed.premises]
         state.rules[rid].children = kids
         for kid in kids:
             seed_leaf_spts(state, kid)
@@ -308,23 +285,14 @@ def propagate_anode(state: SearchState, rule_id: int, trigger: int) -> list:
     the rule's other children; every tuple whose substitutions unify becomes
     a certificate of the rule node."""
     rule = state.rules[rule_id]
-    trig = state.certs[trigger]
-    position = rule.children.index(trig.node)
-    pools = []
-    for i, child_id in enumerate(rule.children):
-        if i == position:
-            pools.append([trigger])
-        else:
-            existing = list(state.goals[child_id].certs)
-            if not existing:
-                return []
-            pools.append(existing)
-    combos = [()]
-    for pool in pools:
-        combos = [prefix + (c,) for prefix in combos for c in pool]
+    trig_node = state.certs[trigger].node
+    pools = [
+        (trigger,) if child == trig_node else state.goals[child].certs
+        for child in rule.children
+    ]
     parent_scope = state.goals[rule.parent].scope
     created = []
-    for combo in combos:
+    for combo in product(*pools):
         state.stats.tuples_tested += 1
         outcome = unify_substitutions([state.certs[c].label for c in combo])
         if outcome is None:
@@ -335,10 +303,6 @@ def propagate_anode(state: SearchState, rule_id: int, trigger: int) -> list:
         cid = state._add_cert(rule_id, True, label, combo, com, delta)
         if cid is None:
             continue
-        state._emit(
-            f"SPT a{rule_id} {substitution_text(label)} "
-            f"tuples={state.stats.tuples_tested}/{state.stats.tuples_unified}"
-        )
         created.append(cid)
         propagate_enode(state, rule.parent, cid)
         if state.proved is not None:
@@ -355,10 +319,6 @@ def propagate_enode(state: SearchState, goal_id: int, trigger: int) -> Optional[
     cid = state._add_cert(goal_id, False, label, (trigger,))
     if cid is None:
         return None
-    state._emit(
-        f"SPT e{goal_id} {substitution_text(label)} "
-        f"tuples={state.stats.tuples_tested}/{state.stats.tuples_unified}"
-    )
     _after_goal_cert(state, goal_id, cid)
     return cid
 
@@ -376,17 +336,11 @@ def _after_goal_cert(state: SearchState, goal_id: int, cert_id: int):
 
 
 def _validate_certificate(state, goal_id, cert_id):
-    cert = state.certs[cert_id]
-    goal = state.goals[goal_id]
-    proof = extract_proof(state, cert_id)
-    problems = check_proof(state.system, proof)
-    expected_root = apply(cert.label, goal.expression)
-    if proof.expression != expected_root:
-        problems.append("root is not the certified instance")
-    premises = set(state.statement.premises)
-    for leaf in proof_leaves(proof):
-        if leaf.expression not in premises:
-            problems.append(f"leaf {render_string(leaf.expression)} is not a premise")
+    """The certificate must unfold to a proof of the certified instance of
+    the goal from the statement's premises."""
+    instance = apply(state.certs[cert_id].label, state.goals[goal_id].expression)
+    claim = Statement(state.statement.id, state.statement.premises, instance)
+    problems = check_statement_proof(state.system, claim, extract_proof(state, cert_id))
     if problems:
         state.self_check_failures.append((cert_id, problems))
 
@@ -430,9 +384,7 @@ def run(state: SearchState, limits: SearchLimits) -> SearchOutcome:
         state.stats.wall_time = time.monotonic() - started
         return outcome
 
-    if not state.seeded:
-        state.seeded = True
-        seed_leaf_spts(state, state.root)
+    seed_leaf_spts(state, state.root)  # a no-op after the first call: certificates dedup
 
     depth_capped = False
     while True:

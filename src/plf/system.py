@@ -108,23 +108,17 @@ class FreshSupply:
         return k
 
 
-def fresh_variable_map(a: Assertion, k: int) -> dict:
-    """Bijective renaming of a's variables to fresh replaceable ones,
-    all stamped with the same counter value."""
-    return {v: Var(f"{v.name}#{k}", v.kind, True) for v in assertion_variables(a)}
-
-
-def rename_assertion(a: Assertion, supply: FreshSupply) -> Assertion:
-    """Variant of ``a`` over fresh variables; successive calls are disjoint."""
-    mapping = fresh_variable_map(a, supply.take())
+def rename_assertion(a: Assertion, supply: FreshSupply) -> tuple:
+    """Variant of ``a`` over fresh replaceable variables, all stamped with the
+    same counter value, and the bijective renaming used (original variable ->
+    fresh variable).  Successive calls are disjoint."""
+    k = supply.take()
+    mapping = {v: Var(f"{v.name}#{k}", v.kind, True) for v in assertion_variables(a)}
     if not mapping:
-        return a
+        return a, mapping
     ren = Substitution(mapping)
-    return Assertion(
-        a.id,
-        tuple(apply(ren, p) for p in a.premises),
-        apply(ren, a.proposition),
-    )
+    renamed = Assertion(a.id, tuple(apply(ren, p) for p in a.premises), apply(ren, a.proposition))
+    return renamed, mapping
 
 
 def _tokenize_line(line: str, lineno: int):

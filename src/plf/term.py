@@ -62,10 +62,6 @@ class Substitution(Mapping):
             self._hash = hash(tuple(self._bindings.items()))
         return self._hash
 
-    def key(self):
-        """Hashable normal form (sorted binding pairs)."""
-        return tuple(self._bindings.items())
-
     def __str__(self):
         return substitution_text(self)
 
@@ -85,7 +81,7 @@ def substitution_text(s: Substitution) -> str:
     return "{ " + " ; ".join(parts) + " }"
 
 
-def apply(s: Substitution, e: Expression) -> Expression:
+def apply(s: Mapping, e: Expression) -> Expression:
     """Replace every bound replaceable-variable occurrence in ``e``."""
     if isinstance(e, Var):
         if e.replaceable:
@@ -198,18 +194,6 @@ def match_expression(pattern: Expression, target: Expression) -> Optional[Substi
     return match_many([(pattern, target)])
 
 
-def _substitute_one(e: Expression, v: Var, image: Expression) -> Expression:
-    if isinstance(e, Var):
-        return image if (e.replaceable and e == v) else e
-    changed = False
-    kids = []
-    for child in e.children:
-        new = _substitute_one(child, v, image)
-        changed = changed or new is not child
-        kids.append(new)
-    return Apply(e.production, tuple(kids)) if changed else e
-
-
 def _bindable(v: Expression, t: Expression) -> bool:
     return (
         isinstance(v, Var)
@@ -243,11 +227,9 @@ def _unify_pairs(pairs) -> Optional[dict]:
             return None
         if _contains(image, var):
             return None
-        work = [
-            (_substitute_one(a, var, image), _substitute_one(b, var, image))
-            for a, b in work
-        ]
-        unifier = {v: _substitute_one(img, var, image) for v, img in unifier.items()}
+        single = {var: image}
+        work = [(apply(single, a), apply(single, b)) for a, b in work]
+        unifier = {v: apply(single, img) for v, img in unifier.items()}
         unifier[var] = image
     return unifier
 

@@ -6,15 +6,9 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from plf import (
-    Apply,
-    Inference,
-    ProofNode,
-    Substitution,
-    Var,
-    parse_any_kind,
-    render_expression,
-)
+from plf import Inference, ProofNode
+from plf.grammar import Apply, Var, parse_any_kind, render_expression
+from plf.term import Substitution
 
 
 def expr(d, text):
@@ -51,7 +45,7 @@ def proof_nodes(t: ProofNode):
 def random_expression(rng: random.Random, grammar, kind_name, max_tokens, leaves):
     """Random expression of (a kind accepted by) ``kind_name`` whose render
     stays within ``max_tokens``.  ``leaves`` maps kind names to Var lists."""
-    from plf import Lit, Slot
+    from plf.grammar import Lit, Slot
 
     structural = [p for p in grammar.productions if not p.is_coercion]
 
@@ -94,7 +88,7 @@ def random_expression(rng: random.Random, grammar, kind_name, max_tokens, leaves
 def enumerate_trees(grammar, pool, max_tokens):
     """Independent size-bounded enumeration of all expressions over ``pool``:
     generate trees of each exact render length, smallest first."""
-    from plf import Lit, Slot
+    from plf.grammar import Lit, Slot
 
     structural = [p for p in grammar.productions if not p.is_coercion]
     memo = {}

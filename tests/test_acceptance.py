@@ -19,27 +19,26 @@ from plf import (
     Proved,
     SaturationBounds,
     SearchLimits,
-    Substitution,
     UniverseOverflowError,
-    Var,
-    apply,
     check_proof,
     check_statement_proof,
-    compose,
-    congruent,
-    freeze_expression,
-    generality,
     init_search,
     load_system,
-    match_expression,
-    match_many,
-    oracle_proofs,
     parse_proof,
-    proof_leaves,
-    replaceable_variables,
     run,
     saturate,
-    substitute_proof,
+)
+from plf.grammar import Var
+from plf.oracle import oracle_proofs
+from plf.proof import congruent, generality, proof_leaves, substitute_proof
+from plf.term import (
+    Substitution,
+    apply,
+    compose,
+    freeze_expression,
+    match_expression,
+    match_many,
+    replaceable_variables,
     unify_substitutions,
     variables_of,
 )
@@ -235,7 +234,7 @@ _universe_cache = {}
 def saturate_universe(d, s):
     key = id(d)
     if key not in _universe_cache:
-        from plf import expression_universe
+        from plf.oracle import expression_universe
 
         pool = tuple(sorted(variables_of(s.goal), key=lambda v: v.name))
         _universe_cache[key] = expression_universe(d.grammar, pool, 5, 2000).values()
@@ -385,7 +384,7 @@ def test_criterion_8_perturbation_rejection(corpus_searches):
 
 def _wrap_or_swap(d, e):
     """A well-kinded expression different from ``e``."""
-    from plf import Apply, Slot
+    from plf.grammar import Apply, Slot
 
     for p in d.grammar.productions:
         if p.is_coercion:

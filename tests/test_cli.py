@@ -1,7 +1,10 @@
 import subprocess
 import sys
+from pathlib import Path
 
 from plf.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +114,32 @@ def test_trace_goes_to_stderr(hilbert_path, capsys):
     assert "EXPAND e0" in err
     assert "PROVED e0" in err
     assert "EXPAND" not in out
+
+
+def test_trace_stream_is_golden(capsys):
+    # the full --trace stream of id at depth 6, recorded once; any change to
+    # the search's events, their order or their text shows up here
+    code, _, err = run_cli(
+        capsys, "prove", str(DATA / "hilbert.pls"), "--statement", "id", "--max-depth", "6",
+        "--trace",
+    )
+    assert code == 0
+    assert err.encode("utf-8") == (DATA / "id_depth6.trace").read_bytes()
+
+
+def test_verify_deeply_nested_proof_is_a_load_error(hilbert_path, tmp_path):
+    # nesting beyond the recursion limit is reported as one error line, exit 2
+    depth = 1500
+    deep = tmp_path / "deep.plp"
+    deep.write_text('(step "p" by A1 with { } from ' * depth + '(hyp "p")' + ")" * depth)
+    proc = subprocess.run(
+        [sys.executable, "-m", "plf", "verify", str(hilbert_path), str(deep),
+         "--statement", "id"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_repeated_runs_byte_identical(hilbert_path, tmp_path):

@@ -2,21 +2,17 @@ import random
 
 import pytest
 
-from plf import (
-    AmbiguousParseError,
+from plf import AmbiguousParseError, NoParseError, UnknownKindError, render_string
+from plf.grammar import (
     Apply,
     Grammar,
     Lit,
-    NoParseError,
     Slot,
-    UnknownKindError,
     Var,
-    kind_coercible,
     parse_all,
     parse_any_kind,
     parse_expression,
     render_expression,
-    render_string,
 )
 from helpers import enumerate_trees, random_expression
 
@@ -59,11 +55,11 @@ def test_unknown_kind(hilbert):
     with pytest.raises(UnknownKindError):
         parse_expression(hilbert.grammar, "nope", ["p"])
     with pytest.raises(UnknownKindError):
-        kind_coercible(hilbert.grammar, "wff", "nope")
+        hilbert.grammar.kind("nope")
 
 
 def test_coercible_reflexive(hilbert):
-    assert kind_coercible(hilbert.grammar, "wff", "wff")
+    assert "wff" in hilbert.grammar.kind("wff").accepts
 
 
 @pytest.fixture(scope="module")
@@ -76,16 +72,16 @@ def class_set():
 
 
 def test_class_set_coercion(class_set):
-    assert kind_coercible(class_set, "class", "set")
-    assert not kind_coercible(class_set, "set", "class")
+    assert "set" in class_set.kind("class").accepts
+    assert "class" not in class_set.kind("set").accepts
 
 
 def test_coercion_closure_transitive():
     g = Grammar(kinds=["a", "b", "c"], coercions=[("b", "a"), ("c", "b")])
-    assert kind_coercible(g, "a", "b")
-    assert kind_coercible(g, "b", "c")
-    assert kind_coercible(g, "a", "c")
-    assert not kind_coercible(g, "c", "a")
+    assert "b" in g.kind("a").accepts
+    assert "c" in g.kind("b").accepts
+    assert "c" in g.kind("a").accepts
+    assert "a" not in g.kind("c").accepts
 
 
 def test_render_examples(hilbert):

@@ -5,15 +5,12 @@ from plf import (
     SaturationBounds,
     UniverseOverflowError,
     check_statement_proof,
-    dump_derived,
-    expression_universe,
-    freeze_expression,
     load_system,
-    oracle_proofs,
-    provable,
     render_string,
     saturate,
 )
+from plf.oracle import dump_derived, expression_universe, oracle_proofs, provable
+from plf.term import freeze_expression
 from helpers import assertion_multiset, expr
 
 

@@ -3,23 +3,17 @@ import random
 import pytest
 
 from plf import (
-    EMPTY,
     Inference,
     ProofNode,
     ProofSyntaxError,
-    Substitution,
     UnknownAssertionError,
-    apply,
     check_proof,
     check_statement_proof,
-    congruent,
-    freeze_expression,
-    generality,
     parse_proof,
-    proof_leaves,
     serialize_proof,
-    substitute_proof,
 )
+from plf.proof import congruent, generality, proof_leaves, substitute_proof
+from plf.term import EMPTY, Substitution, apply, freeze_expression
 from helpers import assertion_multiset, expr, random_expression, sub
 
 
@@ -141,7 +135,7 @@ def test_substitute_proof_disjoint_unchanged(hilbert, id_proof):
 
 
 def _thaw(node):
-    from plf import Apply, Var
+    from plf.grammar import Apply, Var
 
     def thaw_expr(e):
         if isinstance(e, Var):

@@ -1,27 +1,20 @@
 import pytest
 
 from plf import (
-    EMPTY,
     Exhausted,
     LimitReached,
     Proved,
     SearchLimits,
-    Substitution,
-    apply,
     check_proof,
     check_statement_proof,
-    expand_enode,
-    extract_proof,
-    freeze_expression,
     init_search,
     load_system,
-    proof_leaves,
-    propagate_anode,
     render_string,
     run,
-    seed_leaf_spts,
-    unify_substitutions,
 )
+from plf.proof import proof_leaves
+from plf.search import expand_enode, extract_proof, propagate_anode, seed_leaf_spts
+from plf.term import EMPTY, Substitution, apply, freeze_expression, unify_substitutions
 from helpers import assertion_multiset, expr, sub
 
 
@@ -258,11 +251,22 @@ def test_trace_stream(hilbert):
     assert lines[-1] == "PROVED e0"
 
 
+def test_tracing_off_builds_no_trace_text(hilbert, monkeypatch):
+    # trace text is rendered by substitution_text through plf.term's
+    # render_string; with no trace callback the search must never reach it
+    def refuse(e):
+        raise AssertionError("trace text built with tracing off")
+
+    monkeypatch.setattr("plf.term.render_string", refuse)
+    out = run(init_search(hilbert, hilbert.statement("id")), SearchLimits(max_depth=6))
+    assert isinstance(out, Proved)
+
+
 def test_extracted_proof_is_more_general_than_instance(hilbert):
     # the proof the engine finds for ( p -> p ) keeps a free variable where
     # the textbook proof commits to p
     from test_proof import textbook_id_proof
-    from plf import generality, substitute_proof
+    from plf.proof import generality, substitute_proof
 
     state = fresh_state(hilbert, "id")
     out = run(state, SearchLimits(max_depth=6, timeout=10))

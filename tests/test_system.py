@@ -2,19 +2,17 @@ import pytest
 
 from plf import (
     DuplicateIdError,
-    FreshSupply,
     NoParseError,
     SystemSyntaxError,
     UndeclaredVariableError,
     UnknownKindError,
-    Var,
     load_system,
-    rename_assertion,
     render_string,
     render_system,
-    replaceable_variables,
-    variables_of,
 )
+from plf.grammar import Var
+from plf.system import FreshSupply, rename_assertion
+from plf.term import replaceable_variables, variables_of
 from conftest import HILBERT_PLS
 
 
@@ -79,17 +77,18 @@ def test_comments_and_blank_lines():
 
 def test_rename_mp(hilbert):
     supply = FreshSupply()
-    r = rename_assertion(hilbert.assertion("MP"), supply)
+    r, mapping = rename_assertion(hilbert.assertion("MP"), supply)
     assert [render_string(p) for p in r.premises] == ["ph#0", "( ph#0 -> ps#0 )"]
     assert render_string(r.proposition) == "ps#0"
+    assert {v.name: w.name for v, w in mapping.items()} == {"ph": "ph#0", "ps": "ps#0"}
     assert supply.counter == 1
 
 
 def test_rename_twice_disjoint(hilbert):
     supply = FreshSupply()
     a1 = hilbert.assertion("A1")
-    first = rename_assertion(a1, supply)
-    second = rename_assertion(a1, supply)
+    first, _ = rename_assertion(a1, supply)
+    second, _ = rename_assertion(a1, supply)
     names1 = {v.name for v in variables_of(first.proposition)}
     names2 = {v.name for v in variables_of(second.proposition)}
     assert names1 == {"ph#0", "ps#0"}
@@ -100,12 +99,12 @@ def test_rename_twice_disjoint(hilbert):
 def test_rename_no_variables_unchanged():
     d = load_system('kind wff\nrule c : wff ::= "c"\naxiom triv : => "c"\n')
     supply = FreshSupply()
-    assert rename_assertion(d.assertion("triv"), supply) == d.assertion("triv")
+    assert rename_assertion(d.assertion("triv"), supply) == (d.assertion("triv"), {})
 
 
 def test_rename_suffix_erasure(hilbert):
     supply = FreshSupply(counter=5)
-    r = rename_assertion(hilbert.assertion("A2"), supply)
+    r, _ = rename_assertion(hilbert.assertion("A2"), supply)
     stripped = " ".join(
         tok.split("#")[0] for tok in render_string(r.proposition).split()
     )

@@ -3,17 +3,15 @@ import random
 
 import pytest
 
-from plf import (
+from plf import KindMismatchError, render_string
+from plf.grammar import Grammar, Var
+from plf.term import (
     EMPTY,
-    Grammar,
-    KindMismatchError,
     Substitution,
-    Var,
     apply,
     compose,
     freeze_expression,
     match_expression,
-    render_string,
     replaceable_variables,
     restrict,
     substitution_text,
@@ -220,7 +218,7 @@ def test_unify_solvability_symmetric(hilbert):
 
 
 def _freeze_names(e, names):
-    from plf import Apply
+    from plf.grammar import Apply
 
     if isinstance(e, Var):
         return Var(e.name, e.kind, False) if e.name in names else e
@@ -315,7 +313,7 @@ def _factors_through(eta, delta, pool):
     """eta == eta' o delta for some eta', pointwise over the problem's variables."""
     relevant = set(pool) | set(delta) | set(eta)
     pairs = [(apply(delta, v), apply(eta, v)) for v in relevant]
-    from plf import match_many
+    from plf.term import match_many
 
     eta_prime = match_many(pairs)
     if eta_prime is None:
