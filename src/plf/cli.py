@@ -9,7 +9,9 @@ stdout or the requested output file.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 from .errors import FrameworkError
@@ -21,6 +23,23 @@ from .system import load_system
 
 def _load(path: str):
     return load_system(Path(path).read_text(encoding="utf-8"))
+
+
+def _write_atomically(path: str, text: str):
+    """Write ``text`` to a temporary file beside ``path``, then rename it onto
+    ``path``: the target holds either its old content or all of ``text``."""
+    target = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # the mode a plain open() would give
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def cmd_prove(args) -> int:
@@ -45,7 +64,7 @@ def cmd_prove(args) -> int:
             return 1
         text = serialize_proof(outcome.proof)
         if args.output:
-            Path(args.output).write_text(text, encoding="utf-8")
+            _write_atomically(args.output, text)
         else:
             print(text, end="")
         return 0

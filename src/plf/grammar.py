@@ -43,6 +43,10 @@ class Kind:
     def __post_init__(self):
         if self.name not in self.accepts:
             object.__setattr__(self, "accepts", frozenset(self.accepts) | {self.name})
+        object.__setattr__(self, "_hash", hash((self.name,)))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -79,7 +83,7 @@ class VariableDecl:
     kind: Kind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Var:
     """A variable leaf.  The replaceable flag is search metadata: it decides
     whether unification may bind the variable, but two occurrences that
@@ -89,17 +93,46 @@ class Var:
     kind: Kind
     replaceable: bool = field(default=True, compare=False)
 
+    def __init__(self, name: str, kind: Kind, replaceable: bool = True):
+        setattr = object.__setattr__  # frozen: fields are set once, here
+        setattr(self, "name", name)
+        setattr(self, "kind", kind)
+        setattr(self, "replaceable", replaceable)
+        setattr(self, "_hash", hash((name, kind)))
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return self._hash
+
+
+@dataclass(frozen=True, init=False)
 class Apply:
+    """A production node.  ``open`` records whether a replaceable variable
+    occurs below it; substitutions leave closed terms as they are."""
+
     production: Production
     children: tuple
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "_hash",
-            hash((self.production.id, self.production.result_kind.name, self.children)),
+    def __init__(self, production: Production, children: tuple):
+        setattr = object.__setattr__  # frozen: fields are set once, here
+        setattr(self, "production", production)
+        setattr(self, "children", children)
+        setattr(self, "_hash", hash((production.id, production.result_kind.name, children)))
+        is_open = False
+        for child in children:
+            if child.replaceable if child.__class__ is Var else child.open:
+                is_open = True
+                break
+        setattr(self, "open", is_open)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Apply:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.production == other.production
+            and self.children == other.children
         )
 
     def __hash__(self):

@@ -27,6 +27,7 @@ goal creation, which keeps the search fair within its limits.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -149,6 +150,7 @@ class SearchState:
         self.supply = FreshSupply()
         self.stats = SearchStats()
         self.limits = SearchLimits()
+        self.deadline = math.inf  # time.monotonic() value; run() sets it
         self.trace: Optional[Callable] = trace
         self.self_check = self_check
         self.self_check_failures = []
@@ -283,7 +285,8 @@ def expand_enode(state: SearchState, goal_id: int) -> list:
 def propagate_anode(state: SearchState, rule_id: int, trigger: int) -> list:
     """Cross a fresh child certificate against the existing certificates of
     the rule's other children; every tuple whose substitutions unify becomes
-    a certificate of the rule node."""
+    a certificate of the rule node.  The deadline is checked before each
+    tuple, since one crossing can outlast many goal expansions."""
     rule = state.rules[rule_id]
     trig_node = state.certs[trigger].node
     pools = [
@@ -291,15 +294,20 @@ def propagate_anode(state: SearchState, rule_id: int, trigger: int) -> list:
         for child in rule.children
     ]
     parent_scope = state.goals[rule.parent].scope
+    edge = rule.edge_unifier
     created = []
     for combo in product(*pools):
+        if time.monotonic() > state.deadline:
+            state.limit_hit = "timeout"
+            break
         state.stats.tuples_tested += 1
         outcome = unify_substitutions([state.certs[c].label for c in combo])
         if outcome is None:
             continue
         state.stats.tuples_unified += 1
         delta, com = outcome
-        label = restrict(compose(com, rule.edge_unifier), parent_scope)
+        # restrict(compose(com, edge), parent_scope), built over the scope only
+        label = Substitution({v: apply(com, apply(edge, v)) for v in parent_scope})
         cid = state._add_cert(rule_id, True, label, combo, com, delta)
         if cid is None:
             continue
@@ -378,7 +386,7 @@ def run(state: SearchState, limits: SearchLimits) -> SearchOutcome:
     the root is certified, the tree is exhausted, or a limit trips."""
     state.limits = limits
     started = time.monotonic()
-    deadline = started + limits.timeout
+    state.deadline = started + limits.timeout
 
     def finish(outcome):
         state.stats.wall_time = time.monotonic() - started
@@ -393,7 +401,7 @@ def run(state: SearchState, limits: SearchLimits) -> SearchOutcome:
             return finish(Proved(proof, state.proved, state.stats))
         if state.limit_hit is not None:
             return finish(LimitReached(state.limit_hit, state.stats))
-        if time.monotonic() > deadline:
+        if time.monotonic() > state.deadline:
             return finish(LimitReached("timeout", state.stats))
         if not state.queue:
             # A capped run that found no proof is not an exhausted one: the

@@ -10,13 +10,13 @@ engine's way of reconciling independently proved premises.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import KindMismatchError
 from .grammar import Apply, Expression, Var, render_string
 
 
-class Substitution(Mapping):
+class Substitution:
     """Immutable variable-to-expression map.
 
     Identity bindings are dropped, the domain is restricted to replaceable
@@ -27,10 +27,10 @@ class Substitution(Mapping):
     __slots__ = ("_bindings", "_hash")
 
     def __init__(self, bindings=()):
-        items = bindings.items() if isinstance(bindings, Mapping) else bindings
+        items = bindings.items() if isinstance(bindings, (dict, Substitution)) else bindings
         cleaned = {}
         for var, image in items:
-            if isinstance(image, Var) and image == var:
+            if image.__class__ is Var and image == var:
                 continue
             if not var.replaceable:
                 raise ValueError(f"cannot bind non-replaceable variable {var.name!r}")
@@ -40,11 +40,22 @@ class Substitution(Mapping):
                     f"{image.kind.name}"
                 )
             cleaned[var] = image
-        self._bindings = dict(sorted(cleaned.items(), key=lambda kv: kv[0].name))
+        if len(cleaned) > 1:
+            cleaned = dict(sorted(cleaned.items(), key=lambda kv: kv[0].name))
+        self._bindings = cleaned
         self._hash = None
 
     def __getitem__(self, var):
         return self._bindings[var]
+
+    def get(self, var, default=None):
+        return self._bindings.get(var, default)
+
+    def items(self):
+        return self._bindings.items()
+
+    def __contains__(self, var):
+        return var in self._bindings
 
     def __iter__(self):
         return iter(self._bindings)
@@ -81,13 +92,11 @@ def substitution_text(s: Substitution) -> str:
     return "{ " + " ; ".join(parts) + " }"
 
 
-def apply(s: Mapping, e: Expression) -> Expression:
+def apply(s: Substitution, e: Expression) -> Expression:
     """Replace every bound replaceable-variable occurrence in ``e``."""
-    if isinstance(e, Var):
-        if e.replaceable:
-            image = s.get(e)
-            if image is not None:
-                return image
+    if e.__class__ is Var:
+        return s._bindings.get(e, e) if e.replaceable else e
+    if not e.open:
         return e
     changed = False
     kids = []
@@ -101,16 +110,16 @@ def apply(s: Mapping, e: Expression) -> Expression:
 def compose(outer: Substitution, inner: Substitution) -> Substitution:
     """The substitution acting as ``outer`` after ``inner``:
     apply(compose(outer, inner), e) == apply(outer, apply(inner, e))."""
-    merged = {v: apply(outer, img) for v, img in inner.items()}
-    for v, img in outer.items():
-        if v not in inner:
+    merged = {v: apply(outer, img) for v, img in inner._bindings.items()}
+    for v, img in outer._bindings.items():
+        if v not in merged:
             merged[v] = img
     return Substitution(merged)
 
 
 def restrict(s: Substitution, variables: Iterable[Var]) -> Substitution:
     keep = set(variables)
-    return Substitution({v: e for v, e in s.items() if v in keep})
+    return Substitution({v: e for v, e in s._bindings.items() if v in keep})
 
 
 def variables_of(e: Expression) -> set:
@@ -145,18 +154,6 @@ def freeze_expression(e: Expression) -> Expression:
     if isinstance(e, Var):
         return e if not e.replaceable else Var(e.name, e.kind, False)
     return Apply(e.production, tuple(freeze_expression(c) for c in e.children))
-
-
-def _contains(e: Expression, v: Var) -> bool:
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            if node == v:
-                return True
-        else:
-            stack.extend(node.children)
-    return False
 
 
 def match_many(pairs) -> Optional[Substitution]:
@@ -195,43 +192,129 @@ def match_expression(pattern: Expression, target: Expression) -> Optional[Substi
 
 
 def _bindable(v: Expression, t: Expression) -> bool:
-    return (
-        isinstance(v, Var)
-        and v.replaceable
-        and t.kind.name in v.kind.accepts
-    )
+    return v.__class__ is Var and v.replaceable and t.kind.name in v.kind.accepts
+
+
+def _occurs(v: Var, t: Expression, bound: dict) -> bool:
+    """Does ``v`` occur in ``t`` with the bindings applied?  Like ``==``, the
+    check ignores the replaceable flag, so a frozen ``v`` counts too."""
+    if t.__class__ is Var:
+        return False  # the caller has checked that t != v
+    stack = [t]
+    entered = set()
+    while stack:
+        node = stack.pop()
+        if node.__class__ is Var:
+            if node.replaceable:
+                image = bound.get(node)
+                if image is not None:
+                    if node not in entered:
+                        entered.add(node)
+                        stack.append(image)
+                    continue
+            if node == v:
+                return True
+        else:
+            stack.extend(node.children)
+    return False
+
+
+def _resolve(bound: dict) -> dict:
+    """Apply triangular bindings to their own images until none is left:
+    the idempotent form of the unifier, in binding order.  Each variable is
+    resolved once, by a walk that keeps its own stack of frames: a frame
+    ``[node, resolved children, changed]`` per open Apply being rebuilt, and
+    ``[var, None, None]`` per bound variable whose image is being resolved."""
+    done = {}  # bound variable -> its resolved image
+    for var in bound:
+        if var in done:
+            continue
+        frames = [[var, None, None]]
+        t = bound[var]
+        while frames:
+            while True:  # down to a finished value, opening frames on the way
+                if t.__class__ is Var:
+                    if t.replaceable:
+                        value = done.get(t)
+                        if value is None:
+                            image = bound.get(t)
+                            if image is not None:
+                                frames.append([t, None, None])
+                                t = image
+                                continue
+                            value = t
+                    else:
+                        value = t
+                    break
+                if not t.open:
+                    value = t
+                    break
+                frames.append([t, [], False])
+                t = t.children[0]
+            while frames:  # up until a frame still needs a child
+                frame = frames[-1]
+                node, kids = frame[0], frame[1]
+                if kids is None:
+                    done[node] = value
+                    frames.pop()
+                    continue
+                children = node.children
+                if value is not children[len(kids)]:
+                    frame[2] = True
+                kids.append(value)
+                if len(kids) < len(children):
+                    t = children[len(kids)]
+                    break
+                frames.pop()
+                value = Apply(node.production, tuple(kids)) if frame[2] else node
+    return {var: done[var] for var in bound}
 
 
 def _unify_pairs(pairs) -> Optional[dict]:
     """Robinson unification with occurs check over a worklist of pairs.
 
-    Non-replaceable variables behave as constants.  Bindings are kept fully
-    applied, so the result is idempotent.
+    Non-replaceable variables behave as constants.  Bindings are kept
+    triangular (an image may mention variables bound later) and each popped
+    pair is dereferenced lazily; the unifier is resolved once at the end, so
+    the result is idempotent.  Pairs are taken in the same order, and the
+    left side is preferred as the bound variable, as in eager Robinson
+    unification (which rewrites the worklist after every binding), so both
+    return the same dict.  Dereferencing, the occurs check and the
+    resolution use explicit stacks, so term depth is not limited by Python's
+    recursion limit there.
     """
-    unifier = {}
+    bound = {}
     work = list(pairs)
     while work:
         left, right = work.pop()
-        if left == right:
+        while left.__class__ is Var and left.replaceable and left in bound:
+            left = bound[left]
+        while right.__class__ is Var and right.replaceable and right in bound:
+            right = bound[right]
+        if left is right:
             continue
-        if isinstance(left, Apply) and isinstance(right, Apply):
+        if left.__class__ is Apply and right.__class__ is Apply:
             if left.production != right.production:
                 return None
-            work.extend(zip(left.children, right.children))
+            if left.open or right.open:
+                # ``==`` ignores the replaceable flag but bindings do not, so
+                # an open pair is compared part by part, as resolved
+                work.extend(zip(left.children, right.children))
+            elif left != right:
+                return None  # distinct terms without a bindable variable
             continue
+        if left == right:
+            continue  # variables, unbound or frozen: equal as resolved
         if _bindable(left, right):
             var, image = left, right
         elif _bindable(right, left):
             var, image = right, left
         else:
             return None
-        if _contains(image, var):
+        if _occurs(var, image, bound):
             return None
-        single = {var: image}
-        work = [(apply(single, a), apply(single, b)) for a, b in work]
-        unifier = {v: apply(single, img) for v, img in unifier.items()}
-        unifier[var] = image
-    return unifier
+        bound[var] = image
+    return _resolve(bound)
 
 
 def unify_expressions(e1: Expression, e2: Expression) -> Optional[Substitution]:
@@ -249,9 +332,10 @@ def unify_substitutions(subs: Sequence[Substitution]):
     subs = list(subs)
     if not subs:
         return EMPTY, EMPTY
-    domain = sorted({v for s in subs for v in s}, key=lambda v: v.name)
+    maps = [s._bindings for s in subs]
+    domain = sorted({v for m in maps for v in m}, key=lambda v: v.name)
     pairs = []
-    for a, b in zip(subs, subs[1:]):
+    for a, b in zip(maps, maps[1:]):
         for v in domain:
             pairs.append((a.get(v, v), b.get(v, v)))
     raw = _unify_pairs(pairs)

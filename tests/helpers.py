@@ -134,3 +134,94 @@ def enumerate_trees(grammar, pool, max_tokens):
             if t not in seen:
                 seen.append(t)
     return seen
+
+
+# -- reference unifier -----------------------------------------------------
+# The eager Robinson unifier the kernel used before it became triangular: it
+# rewrites the whole worklist and unifier after every binding.  Kept only as
+# the oracle of the differential tests in test_term.py.
+
+
+def _ref_apply(s, e):
+    if isinstance(e, Var):
+        if e.replaceable:
+            image = s.get(e)
+            if image is not None:
+                return image
+        return e
+    changed = False
+    kids = []
+    for child in e.children:
+        new = _ref_apply(s, child)
+        changed = changed or new is not child
+        kids.append(new)
+    return Apply(e.production, tuple(kids)) if changed else e
+
+
+def _ref_contains(e, v):
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            if node == v:
+                return True
+        else:
+            stack.extend(node.children)
+    return False
+
+
+def _ref_bindable(v, t):
+    return isinstance(v, Var) and v.replaceable and t.kind.name in v.kind.accepts
+
+
+def reference_unify_pairs(pairs):
+    unifier = {}
+    work = list(pairs)
+    while work:
+        left, right = work.pop()
+        if left == right:
+            continue
+        if isinstance(left, Apply) and isinstance(right, Apply):
+            if left.production != right.production:
+                return None
+            work.extend(zip(left.children, right.children))
+            continue
+        if _ref_bindable(left, right):
+            var, image = left, right
+        elif _ref_bindable(right, left):
+            var, image = right, left
+        else:
+            return None
+        if _ref_contains(image, var):
+            return None
+        single = {var: image}
+        work = [(_ref_apply(single, a), _ref_apply(single, b)) for a, b in work]
+        unifier = {v: _ref_apply(single, img) for v, img in unifier.items()}
+        unifier[var] = image
+    return unifier
+
+
+def reference_unify_expressions(e1, e2):
+    raw = reference_unify_pairs([(e1, e2)])
+    return None if raw is None else Substitution(raw)
+
+
+def reference_unify_substitutions(subs):
+    subs = list(subs)
+    if not subs:
+        return Substitution(), Substitution()
+    domain = sorted({v for s in subs for v in s}, key=lambda v: v.name)
+    pairs = []
+    for a, b in zip(subs, subs[1:]):
+        for v in domain:
+            pairs.append((a.get(v, v), b.get(v, v)))
+    raw = reference_unify_pairs(pairs)
+    if raw is None:
+        return None
+    delta = Substitution(raw)
+    first = dict(subs[0].items())
+    merged = {v: _ref_apply(delta, img) for v, img in first.items()}
+    for v, img in delta.items():
+        if v not in first:
+            merged[v] = img
+    return delta, Substitution(merged)

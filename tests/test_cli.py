@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +27,31 @@ def test_prove_writes_verifiable_proof(hilbert_path, tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", str(hilbert_path), str(out_path), "--statement", "id")
     assert code == 0
     assert out.strip() == "valid"
+
+
+def test_prove_output_is_replaced_atomically(hilbert_path, tmp_path, capsys, monkeypatch):
+    out_dir = tmp_path / "proofs"
+    out_dir.mkdir()
+    out_path = out_dir / "id.plp"
+    argv = ("prove", str(hilbert_path), "--statement", "id", "-o", str(out_path))
+    out_path.write_text("old proof\n")
+    # a write that fails before the rename leaves the old file and no debris
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and "rename refused" in err
+    assert out_path.read_text() == "old proof\n"
+    assert os.listdir(out_dir) == ["id.plp"]
+    monkeypatch.undo()
+
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert os.listdir(out_dir) == ["id.plp"]
+    _, printed, _ = run_cli(capsys, *argv[:-2])  # the same proof on stdout
+    assert printed.endswith(out_path.read_text())
+    assert out_path.read_text().startswith("(step ")
 
 
 def test_prove_unknown_statement(hilbert_path, capsys):

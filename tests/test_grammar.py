@@ -6,6 +6,7 @@ from plf import AmbiguousParseError, NoParseError, UnknownKindError, render_stri
 from plf.grammar import (
     Apply,
     Grammar,
+    Kind,
     Lit,
     Slot,
     Var,
@@ -147,3 +148,35 @@ def test_fresh_suffixed_variables_resolve(hilbert):
     assert e == Var("ph#3", hilbert.grammar.kind("wff"))
     with pytest.raises(NoParseError):
         parse_expression(hilbert.grammar, "wff", ["zz#3"])
+
+
+# -- the hash/eq contract the kernel's dicts and sets rely on ---------------
+
+
+def test_var_equality_and_hash_ignore_the_replaceable_flag(hilbert):
+    k = hilbert.grammar.kind("wff")
+    fresh, frozen = Var("p", k, True), Var("p", k, False)
+    assert fresh == frozen and hash(fresh) == hash(frozen)
+    assert frozen in {fresh} and fresh in {frozen}
+    assert {fresh: 1}[frozen] == 1 and {frozen: 2}[fresh] == 2
+    assert Var("q", k) != fresh
+    assert Var("p", Kind("other")) != fresh
+
+
+def test_kind_equality_and_hash_ignore_accepts():
+    plain, wide = Kind("class"), Kind("class", frozenset({"set"}))
+    assert plain == wide and hash(plain) == hash(wide)
+    assert {plain: 1}[wide] == 1
+    assert Kind("set") != plain
+
+
+def test_apply_equality_is_structural(hilbert):
+    g = hilbert.grammar
+    one = parse_expression(g, "wff", "( p -> ( q -> p ) )".split())
+    two = parse_expression(g, "wff", "( p -> ( q -> p ) )".split())
+    assert one is not two
+    assert one == two and hash(one) == hash(two)
+    assert {one: 1}[two] == 1
+    for other in ("( q -> ( q -> p ) )", "( p -> ( p -> q ) )", "( ( p -> q ) -> p )"):
+        assert one != parse_expression(g, "wff", other.split())
+    assert one != Var("p", g.kind("wff"))

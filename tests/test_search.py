@@ -1,5 +1,6 @@
 import pytest
 
+import plf.search
 from plf import (
     Exhausted,
     LimitReached,
@@ -182,6 +183,37 @@ def test_node_cap_trips(hilbert):
     out = run(state, SearchLimits(max_nodes=1, timeout=5))
     assert isinstance(out, LimitReached)
     assert out.limit == "nodes"
+
+
+def test_timeout_holds_inside_crossing(monkeypatch):
+    # syld crosses thousands of tuples per expansion at depth 8; a clock that
+    # jumps past the deadline on its 3000th read must stop the crossing at once
+    from conftest import HILBERT_PLS
+
+    d = load_system(
+        HILBERT_PLS
+        + 'statement syld : "( p -> ( q -> r ) )" "( p -> ( r -> ch ) )"'
+        + ' => "( p -> ( q -> ch ) )"\n'
+    )
+    state = fresh_state(d, "syld")
+    reads = 0
+    tested_when_passed = []
+
+    def clock():
+        nonlocal reads
+        reads += 1
+        if reads < 3000:
+            return 0.0
+        if not tested_when_passed:
+            tested_when_passed.append(state.stats.tuples_tested)
+        return 1e9
+
+    monkeypatch.setattr(plf.search.time, "monotonic", clock)
+    out = run(state, SearchLimits(max_depth=8, max_spts_per_node=20, timeout=60.0))
+    assert isinstance(out, LimitReached)
+    assert out.limit == "timeout"
+    assert tested_when_passed and tested_when_passed[0] > 0
+    assert state.stats.tuples_tested - tested_when_passed[0] <= 1
 
 
 def test_propagation_clash_skipped():

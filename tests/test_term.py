@@ -14,12 +14,20 @@ from plf.term import (
     match_expression,
     replaceable_variables,
     restrict,
+    _unify_pairs,
     substitution_text,
     unify_expressions,
     unify_substitutions,
     variables_of,
 )
-from helpers import enumerate_trees, expr, random_expression, sub
+from helpers import (
+    enumerate_trees,
+    expr,
+    random_expression,
+    reference_unify_pairs,
+    reference_unify_substitutions,
+    sub,
+)
 
 
 # -- apply ---------------------------------------------------------------
@@ -319,6 +327,136 @@ def _factors_through(eta, delta, pool):
     if eta_prime is None:
         return False
     return all(apply(eta_prime, apply(delta, v)) == apply(eta, v) for v in relevant)
+
+
+# -- differential check against the eager reference unifier ---------------
+
+
+def _flagged(e):
+    """Pre-order structure of ``e`` including the replaceable flags that
+    ``==`` ignores."""
+    out = []
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            out.append((node.name, node.kind.name, node.replaceable))
+        else:
+            out.append(node.production.id)
+            stack.extend(reversed(node.children))
+    return tuple(out)
+
+
+def _exact(bindings):
+    """Bindings in order, flags included; None stays None."""
+    if bindings is None:
+        return None
+    return [(v.name, v.replaceable, _flagged(e)) for v, e in bindings.items()]
+
+
+def _mixed_leaves(g):
+    """Fresh (replaceable) and frozen variables, including frozen twins of
+    replaceable names: ``==`` equates twins, substitution tells them apart."""
+    fresh = [g.variable(n) for n in ("ph", "ps")]
+    fresh += [Var(f"{n}#1", g.kind("wff"), True) for n in ("ph", "ps")]
+    frozen = [freeze_expression(g.variable(n)) for n in ("ph", "ps", "p")]
+    return {"wff": fresh + frozen}
+
+
+def _flip(rng, e):
+    """``e`` with the flag of some twin-named variable occurrences toggled:
+    equal to ``e`` under ``==``, but not under substitution."""
+    from plf.grammar import Apply
+
+    if isinstance(e, Var):
+        if e.name in ("ph", "ps") and rng.random() < 0.5:
+            return Var(e.name, e.kind, not e.replaceable)
+        return e
+    return Apply(e.production, tuple(_flip(rng, c) for c in e.children))
+
+
+def _random_pair(rng, g, leaves):
+    """Two random terms; often (X -> Y) against (flipped X -> Z), so that Y
+    and Z are unified before the twins X and flipped X are compared."""
+    size = lambda: rng.choice([3, 7, 11, 15])
+    e1 = random_expression(rng, g, "wff", size(), leaves)
+    if rng.random() < 0.5 or isinstance(e1, Var):
+        return e1, random_expression(rng, g, "wff", size(), leaves)
+    from plf.grammar import Apply
+
+    x, _ = e1.children
+    return e1, Apply(e1.production, (_flip(rng, x), random_expression(rng, g, "wff", size(), leaves)))
+
+
+def test_unify_expressions_equals_reference_random(hilbert):
+    g = hilbert.grammar
+    rng = random.Random(41)
+    leaves = _mixed_leaves(g)
+    unified = 0
+    for _ in range(3000):
+        e1, e2 = _random_pair(rng, g, leaves)
+        raw = _unify_pairs([(e1, e2)])
+        assert _exact(raw) == _exact(reference_unify_pairs([(e1, e2)]))
+        got = unify_expressions(e1, e2)
+        assert _exact(got) == _exact(None if raw is None else Substitution(raw))
+        unified += got is not None
+    assert unified > 300  # the sample is not dominated by clashes
+
+
+def test_unify_substitutions_equals_reference_random(hilbert):
+    g = hilbert.grammar
+    rng = random.Random(43)
+    leaves = _mixed_leaves(g)
+    domain = [v for v in leaves["wff"] if v.replaceable]
+    unified = 0
+    for _ in range(1500):
+        # images are fresh random terms or flipped copies of shared ones
+        shared = {v: random_expression(rng, g, "wff", rng.choice([1, 3, 7]), leaves) for v in domain}
+        thetas = []
+        for _ in range(rng.choice([1, 2, 2, 3])):
+            bindings = {}
+            for v in domain:
+                roll = rng.random()
+                if roll < 0.3:
+                    bindings[v] = _flip(rng, shared[v])
+                elif roll < 0.5:
+                    bindings[v] = random_expression(rng, g, "wff", rng.choice([1, 3, 7]), leaves)
+            thetas.append(Substitution(bindings))
+        got = unify_substitutions(thetas)
+        want = reference_unify_substitutions(thetas)
+        if want is None:
+            assert got is None
+            continue
+        unified += 1
+        assert got is not None
+        assert [_exact(s) for s in got] == [_exact(s) for s in want]
+    assert unified > 300
+
+
+def _chain(implication, antecedents, last):
+    """( a1 -> ( a2 -> ... ( an -> last ) ) ), built without the parser."""
+    from plf.grammar import Apply
+
+    out = last
+    for a in reversed(antecedents):
+        out = Apply(implication, (a, out))
+    return out
+
+
+def test_unify_deep_chains_without_recursion(hilbert):
+    g = hilbert.grammar
+    wff = g.kind("wff")
+    (imp,) = [p for p in g.productions if p.id == "imp"]
+    p, q = (freeze_expression(g.variable(n)) for n in ("p", "q"))
+    y = Var("ps#0", wff, True)
+    xs = [Var(f"ph#{k}", wff, True) for k in range(4000)]
+    tail = _chain(imp, xs[2000:], q)
+    # y takes a 2,000-deep image; then x0 := p and each x_k := x_(k-1) for
+    # k < 2000, a binding chain 2,000 long that resolves to p throughout
+    left = _chain(imp, xs[:2000], tail)
+    right = _chain(imp, [p] + xs[:1999], y)
+    want = Substitution({**{x: p for x in xs[:2000]}, y: tail})
+    assert unify_expressions(left, right) == want
 
 
 # -- restrict and substitution basics --------------------------------------
