@@ -15,6 +15,7 @@ trees of an input and raises if it finds more than one.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -220,9 +221,9 @@ class Grammar:
         if clash:
             raise ValueError(f"variable names collide with literal tokens: {sorted(clash)}")
 
-        structural = [p for p in self.productions if not p.is_coercion]
-        self._goal_productions = {
-            k: tuple(p for p in structural if p.result_kind.name in self.kinds[k].accepts)
+        plans = [_parse_plan(p) for p in self.productions if not p.is_coercion]
+        self._parse_plans = {
+            k: tuple(plan for plan in plans if plan[0].result_kind.name in self.kinds[k].accepts)
             for k in kind_names
         }
 
@@ -270,61 +271,128 @@ class Grammar:
 class _Chart:
     """All-parses enumerator.
 
-    ``trees(kind, i, j)`` yields every tree whose intrinsic kind is accepted
+    ``trees(kind, i, j)`` returns every tree whose intrinsic kind is accepted
     by ``kind`` and whose render spans tokens[i:j].  Coercion steps build no
     nodes, so the trees come out already in canonical form and duplicates
-    cannot arise.  Recursion is on strictly shrinking spans (no production
-    derives the empty string and single-slot productions are coercions), so
-    left-recursive grammars terminate.
+    cannot arise.  Every child span is strictly shorter than its parent (no
+    production derives the empty string and single-slot productions are
+    coercions), so left-recursive grammars terminate.
+
+    A slot tries only the ends that can lead to a parse: a slot followed by
+    literals alone ends where they begin, and a slot followed by a literal
+    ends where that literal occurs (looked up in ``_at``).  A production is
+    skipped at once when the span is shorter than its right-hand side or
+    does not end with its trailing literals.  Entries are filled by an
+    explicit stack of ``_fill`` generators, each suspended while the entry
+    it needs is filled, so nesting depth is not limited by Python's
+    recursion limit.
     """
 
     def __init__(self, g: Grammar, tokens: Sequence[str]):
         self.g = g
         self.tokens = tuple(tokens)
         self._memo = {}
+        self._at = {}
+        for pos, tok in enumerate(self.tokens):
+            self._at.setdefault(tok, []).append(pos)
 
     def trees(self, kind_name: str, i: int, j: int) -> list:
-        key = (kind_name, i, j)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
+        top = (kind_name, i, j)
+        memo = self._memo
+        if memo.get(top) is None:
+            stack = [(top, self._fill(*top))]
+            value = None
+            while stack:
+                key, filling = stack[-1]
+                try:
+                    need = filling.send(value)
+                except StopIteration as done:
+                    memo[key] = value = done.value
+                    stack.pop()
+                else:
+                    value = None
+                    stack.append((need, self._fill(*need)))
+        return memo[top]
+
+    def _fill(self, kind_name: str, i: int, j: int):
+        """Generator computing one entry: yields each (kind, i, j) entry it
+        needs that is not filled yet, is sent its trees, and returns its own.
+
+        The partial parses of a production advance one rhs item at a time in
+        (end, tree) order, so the trees come out in the order of a
+        depth-first walk that tries ends from left to right.
+        """
+        tokens = self.tokens
+        memo = self._memo
         out = []
-        accepts = self.g.kind(kind_name).accepts
         if j - i == 1:
-            decl = self.g.resolve_variable(self.tokens[i])
-            if decl is not None and decl.kind.name in accepts:
+            decl = self.g.resolve_variable(tokens[i])
+            if decl is not None and decl.kind.name in self.g.kinds[kind_name].accepts:
                 out.append(Var(decl.name, decl.kind))
-        for prod in self.g._goal_productions[kind_name]:
-            for children in self._spans(prod, i, j):
-                out.append(Apply(prod, children))
-        self._memo[key] = out
+        for prod, tail, plan in self.g._parse_plans[kind_name]:
+            if j - i < len(plan) or tokens[j - len(tail) : j] != tail:
+                continue
+            partial = [(i, ())]
+            for text, kind, after in plan:
+                advanced = []
+                if kind is None:
+                    for pos, kids in partial:
+                        if tokens[pos] == text:
+                            advanced.append((pos + 1, kids))
+                else:
+                    last = j - after  # every later item consumes a token
+                    for pos, kids in partial:
+                        if text is None:
+                            ends = range(pos + 1, last + 1)
+                        elif text is _FIXED:
+                            ends = (last,) if pos < last else ()
+                        else:
+                            at = self._at.get(text, ())
+                            ends = at[bisect_left(at, pos + 1) : bisect_right(at, last)]
+                        for q in ends:
+                            key = (kind, pos, q)
+                            found = memo.get(key)
+                            if found is None:
+                                found = yield key
+                            for tree in found:
+                                advanced.append((q, kids + (tree,)))
+                partial = advanced
+                if not partial:
+                    break
+            for pos, kids in partial:
+                if pos == j:
+                    out.append(Apply(prod, kids))
         return out
 
-    def _spans(self, prod: Production, i: int, j: int) -> list:
-        results = []
-        rhs = prod.rhs
 
-        def walk(idx, pos, acc):
-            remaining = len(rhs) - idx
-            if remaining == 0:
-                if pos == j:
-                    results.append(tuple(acc))
-                return
-            if j - pos < remaining:  # every rhs item consumes at least one token
-                return
-            item = rhs[idx]
-            if isinstance(item, Lit):
-                if self.tokens[pos] == item.text:
-                    walk(idx + 1, pos + 1, acc)
-            else:
-                for q in range(pos + 1, j - (remaining - 1) + 1):
-                    for tree in self.trees(item.kind, pos, q):
-                        acc.append(tree)
-                        walk(idx + 1, q, acc)
-                        acc.pop()
+_FIXED = object()  # plan marker: the slot's end is fixed by the literals after it
 
-        walk(0, i, [])
-        return results
+
+def _parse_plan(prod: Production) -> tuple:
+    """``(production, trailing literals, steps)`` for the chart.
+
+    A step is ``(text, None, after)`` for a literal and ``(end, kind, after)``
+    for a slot, where ``after`` counts the items behind it and ``end`` is
+    ``_FIXED`` when those are all literals, the next literal's text when one
+    follows, and None when a slot follows.
+    """
+    rhs = prod.rhs
+    tail = []
+    for item in reversed(rhs):
+        if not isinstance(item, Lit):
+            break
+        tail.append(item.text)
+    steps = []
+    for idx, item in enumerate(rhs):
+        after = len(rhs) - idx - 1
+        if isinstance(item, Lit):
+            steps.append((item.text, None, after))
+        elif after <= len(tail):
+            steps.append((_FIXED, item.kind, after))
+        else:
+            nxt = rhs[idx + 1]
+            steps.append((nxt.text if isinstance(nxt, Lit) else None, item.kind, after))
+    return prod, tuple(reversed(tail)), tuple(steps)
 
 
 def parse_all(g: Grammar, kind: str, tokens: Sequence[str]) -> list:

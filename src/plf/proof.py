@@ -241,6 +241,7 @@ class _ProofParser:
         self.d = d
         self.tokens = _lex_proof(text)
         self.pos = 0
+        self.parsed = {}  # token tuple -> Expression; texts recur in steps and witnesses
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, False)
@@ -258,10 +259,13 @@ class _ProofParser:
         text, quoted = self.take()
         if not quoted:
             raise ProofSyntaxError(f"expected a quoted expression, got {text!r}")
-        tokens = text.split()
+        tokens = tuple(text.split())
         if not tokens:
             raise ProofSyntaxError("empty expression string")
-        return parse_any_kind(self.d.grammar, tokens)
+        tree = self.parsed.get(tokens)
+        if tree is None:
+            tree = self.parsed[tokens] = parse_any_kind(self.d.grammar, tokens)
+        return tree
 
     def substitution(self):
         self.take("{")

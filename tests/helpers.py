@@ -6,8 +6,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from plf import Inference, ProofNode
-from plf.grammar import Apply, Var, parse_any_kind, render_expression
+from plf import AmbiguousParseError, Inference, NoParseError, ProofNode
+from plf.grammar import Apply, Lit, Var, parse_any_kind, render_expression
 from plf.term import Substitution
 
 
@@ -225,3 +225,96 @@ def reference_unify_substitutions(subs):
         if v not in first:
             merged[v] = img
     return delta, Substitution(merged)
+
+
+# -- reference parser ------------------------------------------------------
+# The all-parses chart the grammar used before split points were anchored on
+# literals: every slot tries every end position, recursively.  Kept only as
+# the oracle of the differential tests in test_grammar.py.
+
+
+class ReferenceChart:
+    def __init__(self, g, tokens):
+        self.g = g
+        self.tokens = tuple(tokens)
+        self._memo = {}
+
+    def trees(self, kind_name, i, j):
+        key = (kind_name, i, j)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        out = []
+        accepts = self.g.kind(kind_name).accepts
+        if j - i == 1:
+            decl = self.g.resolve_variable(self.tokens[i])
+            if decl is not None and decl.kind.name in accepts:
+                out.append(Var(decl.name, decl.kind))
+        for prod in self.g.productions:
+            if not prod.is_coercion and prod.result_kind.name in accepts:
+                for children in self._spans(prod, i, j):
+                    out.append(Apply(prod, children))
+        self._memo[key] = out
+        return out
+
+    def _spans(self, prod, i, j):
+        results = []
+        rhs = prod.rhs
+
+        def walk(idx, pos, acc):
+            remaining = len(rhs) - idx
+            if remaining == 0:
+                if pos == j:
+                    results.append(tuple(acc))
+                return
+            if j - pos < remaining:  # every rhs item consumes at least one token
+                return
+            item = rhs[idx]
+            if isinstance(item, Lit):
+                if self.tokens[pos] == item.text:
+                    walk(idx + 1, pos + 1, acc)
+            else:
+                for q in range(pos + 1, j - (remaining - 1) + 1):
+                    for tree in self.trees(item.kind, pos, q):
+                        acc.append(tree)
+                        walk(idx + 1, q, acc)
+                        acc.pop()
+
+        walk(0, i, [])
+        return results
+
+
+def reference_parse_all(g, kind, tokens):
+    g.kind(kind)
+    toks = tuple(tokens)
+    if not toks:
+        raise NoParseError("empty token sequence")
+    return ReferenceChart(g, toks).trees(kind, 0, len(toks))
+
+
+def reference_parse_expression(g, kind, tokens):
+    trees = reference_parse_all(g, kind, tokens)
+    if not trees:
+        raise NoParseError(f"cannot parse {' '.join(tokens)!r} as kind {kind!r}")
+    if len(trees) > 1:
+        raise AmbiguousParseError(
+            f"{' '.join(tokens)!r} has {len(trees)} parse trees as kind {kind!r}"
+        )
+    return trees[0]
+
+
+def reference_parse_any_kind(g, tokens):
+    toks = tuple(tokens)
+    if not toks:
+        raise NoParseError("empty token sequence")
+    chart = ReferenceChart(g, toks)
+    found = []
+    for kname in g.kinds:
+        for tree in chart.trees(kname, 0, len(toks)):
+            if tree not in found:
+                found.append(tree)
+    if not found:
+        raise NoParseError(f"cannot parse {' '.join(toks)!r} under any kind")
+    if len(found) > 1:
+        raise AmbiguousParseError(f"{' '.join(toks)!r} has {len(found)} parse trees")
+    return found[0]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from plf import AmbiguousParseError, NoParseError, UnknownKindError, render_string
+from plf import AmbiguousParseError, NoParseError, UnknownKindError, load_system, render_string
 from plf.grammar import (
     Apply,
     Grammar,
@@ -10,12 +10,21 @@ from plf.grammar import (
     Lit,
     Slot,
     Var,
+    _Chart,
     parse_all,
     parse_any_kind,
     parse_expression,
     render_expression,
 )
-from helpers import enumerate_trees, random_expression
+from conftest import HILBERT_PLS
+from helpers import (
+    enumerate_trees,
+    random_expression,
+    reference_parse_all,
+    reference_parse_any_kind,
+    reference_parse_expression,
+)
+from randsys import corpus
 
 
 def test_parse_single_variable(hilbert):
@@ -180,3 +189,148 @@ def test_apply_equality_is_structural(hilbert):
     for other in ("( q -> ( q -> p ) )", "( p -> ( p -> q ) )", "( ( p -> q ) -> p )"):
         assert one != parse_expression(g, "wff", other.split())
     assert one != Var("p", g.kind("wff"))
+
+
+# -- the literal-anchored chart against the reference chart -----------------
+
+
+def _sum_grammar():
+    return Grammar(
+        kinds=["s"],
+        rules=[
+            ("cat", "s", [Slot("s"), Lit("+"), Slot("s")]),
+            ("atom", "s", [Lit("a")]),
+        ],
+    )
+
+
+def _mixed_grammar():
+    # a slot followed by a slot and then a literal, a left-recursive rule
+    # ending in a literal, a prefix rule ending in a slot, a coercion and an
+    # ambiguous two-slot rule
+    return Grammar(
+        kinds=["e", "n"],
+        rules=[
+            ("pair", "e", [Lit("["), Slot("e"), Slot("e"), Lit("]")]),
+            ("bang", "e", [Slot("e"), Lit("!")]),
+            ("neg", "e", [Lit("-"), Slot("e")]),
+            ("plus", "e", [Slot("e"), Lit("+"), Slot("n")]),
+            ("juxt", "e", [Slot("e"), Slot("e")]),
+            ("one", "n", [Lit("1")]),
+        ],
+        variables=[("x", "e"), ("y", "e"), ("k", "n")],
+        coercions=[("n", "e")],
+    )
+
+
+def _leaves(g):
+    out = {}
+    for name, decl in g.variables.items():
+        out.setdefault(decl.kind.name, []).append(g.variable(name))
+    return out
+
+
+def _mutate(rng, tokens, vocabulary):
+    tokens = list(tokens)
+    at = rng.randrange(len(tokens))
+    op = rng.randrange(4)
+    if op == 0 and len(tokens) > 1:
+        del tokens[at]
+    elif op == 1:
+        tokens.insert(at, tokens[at])
+    elif op == 2:
+        other = rng.randrange(len(tokens))
+        tokens[at], tokens[other] = tokens[other], tokens[at]
+    else:
+        tokens[at] = rng.choice(vocabulary)
+    return tokens
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except (NoParseError, AmbiguousParseError) as exc:
+        return type(exc), str(exc)
+
+
+def test_chart_equals_reference_chart_random(hilbert, class_set):
+    systems = corpus(20260810, 40)
+    coercive = [d.grammar for d in systems if len(d.grammar.kinds) > 1][:2]
+    plain = [d.grammar for d in systems if len(d.grammar.kinds) == 1][:2]
+    # (grammar, kind of the generated expressions, their maximum length);
+    # the ambiguous grammars stay short, their tree counts grow like Catalan's
+    cases = [
+        (hilbert.grammar, "wff", 25),
+        (class_set, "class", 1),
+        (_sum_grammar(), "s", 11),
+        (_mixed_grammar(), "e", 8),
+    ] + [(g, "t", 15) for g in coercive + plain]
+    rng = random.Random(20260810)
+    for g, kind, max_tokens in cases:
+        vocabulary = sorted(g.literals) + sorted(g.variables) + ["zz"]
+        if g.variables:
+            vocabulary.append(sorted(g.variables)[0] + "#2")
+        leaves = _leaves(g)
+        for _ in range(300):
+            rendered = render_expression(random_expression(rng, g, kind, max_tokens, leaves))
+            for mutations in (0, 1, 1, 2, 3):
+                tokens = rendered
+                for _ in range(mutations):
+                    tokens = _mutate(rng, tokens, vocabulary)
+                for k in g.kinds:
+                    assert parse_all(g, k, tokens) == reference_parse_all(g, k, tokens), tokens
+                    assert _outcome(parse_expression, g, k, tokens) == _outcome(
+                        reference_parse_expression, g, k, tokens
+                    ), tokens
+                assert _outcome(parse_any_kind, g, tokens) == _outcome(
+                    reference_parse_any_kind, g, tokens
+                ), tokens
+
+
+def _right_chain(depth):
+    text = "p"
+    for _ in range(depth):
+        text = f"( q -> {text} )"
+    return text
+
+
+def test_deep_chain_loads_without_recursion():
+    depth = 400
+    text = _right_chain(depth)
+    assert len(text.split()) == 1601
+    d = load_system(HILBERT_PLS + f'statement deep : => "{text}"\n')
+    g = d.grammar
+    imp = next(p for p in g.productions if p.id == "imp")
+    built = g.variable("p")
+    for _ in range(depth):
+        built = Apply(imp, (g.variable("q"), built))
+    # Apply.__eq__ recurses once per level, so compare level by level
+    goal = d.statement("deep").goal
+    for _ in range(depth):
+        assert hash(goal) == hash(built)
+        assert goal.production == built.production
+        assert goal.children[0] == built.children[0]
+        goal, built = goal.children[1], built.children[1]
+    assert goal == built
+
+
+class _CountingMemo(dict):
+    """A chart memo that counts its lookups: one per (kind, span) consulted."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return dict.get(self, key, default)
+
+
+def test_chart_work_stays_quadratic_in_chain_depth(hilbert):
+    counts = []
+    for depth in (25, 50, 100):
+        chart = _Chart(hilbert.grammar, _right_chain(depth).split())
+        chart._memo = _CountingMemo()
+        assert len(chart.trees("wff", 0, len(chart.tokens))) == 1
+        counts.append(chart._memo.lookups)
+    assert counts[0] > 0  # the chart consults its memo once per (kind, span) it tries
+    for shorter, longer in zip(counts, counts[1:]):
+        assert longer <= 4.5 * shorter, counts
