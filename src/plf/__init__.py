@@ -4,7 +4,7 @@ A deductive system is a typed context-free expression grammar plus a set of
 axiomatic assertions; nothing about any particular logic is baked in.  The
 package provides a goal-directed proof-search engine built on unification of
 substitution sets, an independent witness-checking verifier, and a
-brute-force saturation oracle for cross-validation at desk scale.
+semi-naive saturation oracle for cross-validation at desk scale.
 
 Only the entry points are re-exported here; everything else lives in its
 submodule (``plf.grammar``, ``plf.term``, ``plf.system``, ``plf.proof``,

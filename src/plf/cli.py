@@ -97,7 +97,7 @@ def cmd_oracle(args) -> int:
     )
     sat = saturate(system, statement, bounds)
     if args.dump_derived:
-        Path(args.dump_derived).write_text(dump_derived(sat), encoding="utf-8")
+        _write_atomically(args.dump_derived, dump_derived(sat))
     universe_size = sum(len(v) for v in sat.universe.values())
     print(f"universe={universe_size}")
     print(f"derived={len(sat.derived)}")
@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--statement", required=True)
     verify.set_defaults(func=cmd_verify)
 
-    oracle = sub.add_parser("oracle", help="brute-force saturation over a bounded universe")
+    oracle = sub.add_parser("oracle", help="semi-naive forward saturation over a bounded universe")
     oracle.add_argument("system")
     oracle.add_argument("--statement", required=True)
     oracle.add_argument("--max-size", type=int, default=17, help="universe token budget")

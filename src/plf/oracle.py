@@ -1,16 +1,22 @@
-"""Brute-force forward saturation over a bounded expression universe.
+"""Forward saturation over a bounded expression universe.
 
 Ground truth for testing the search engine: materialize every expression the
 statement's variables can build within a token budget, then repeatedly
-instantiate each assertion with every substitution into that universe,
-keeping the conclusions whose premise instances were already derived.  Slow
-on purpose; it shares nothing with the search code.
+instantiate each assertion with substitutions into that universe, keeping
+the conclusions whose premise instances were already derived.  Rounds are
+semi-naive, as in Datalog: an instance is visited only in the round after
+its last premise was derived, and premise variables are bound by matching
+the premises against the derived facts (a join) instead of trying every
+universe member.  The saturation is the one the exhaustive product over the
+universe gives, down to the order of every justification list.  The oracle
+has its own ground matcher and shares nothing with the search code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Optional, Sequence
 
 from .errors import GoalNotDerivedError, UniverseOverflowError
@@ -123,7 +129,115 @@ def _instance_pool(universe: dict, kind) -> list:
 _MAX_JUSTIFICATIONS_PER_EXPR = 64
 
 
+class _Plan:
+    """One assertion prepared for saturation: its variables (sorted by name)
+    with their universe pools, and, per variable position, a map from pool
+    member to its first index there."""
+
+    def __init__(self, a, universe):
+        self.assertion = a
+        self.variables = assertion_variables(a)
+        self.pools = [_instance_pool(universe, v.kind) for v in self.variables]
+        self.slot = {v: k for k, v in enumerate(self.variables)}
+        self.where = []
+        for pool in self.pools:
+            where = {}
+            for i, member in enumerate(pool):
+                where.setdefault(member, i)
+            self.where.append(where)
+        self.premise_slots = [sorted({self.slot[v] for v in variables_of(p)}) for p in a.premises]
+        in_premises = {k for slots in self.premise_slots for k in slots}
+        self.conclusion_only = [k for k in range(len(self.variables)) if k not in in_premises]
+
+
+def _index(facts, heads):
+    """Add ``facts`` to ``heads``: production id -> facts with that head, and
+    None -> every fact, each list in insertion order."""
+    for f in facts:
+        heads[None].append(f)
+        if f.__class__ is Apply:
+            heads.setdefault(f.production.id, []).append(f)
+    return heads
+
+
+def _match(plan, pattern, fact, env):
+    """``env`` (a pool index per variable position, None while unbound)
+    extended so that ``pattern`` instantiates to the ground ``fact``, or None.
+    A variable binds only to a member of its pool."""
+    env = list(env)
+    stack = [(pattern, fact)]
+    while stack:
+        pat, tgt = stack.pop()
+        if pat.__class__ is Var:
+            k = plan.slot[pat]
+            at = plan.where[k].get(tgt)
+            if at is None or env[k] is not None and env[k] != at:
+                return None
+            env[k] = at
+        elif tgt.__class__ is not Apply or tgt.production != pat.production:
+            return None
+        else:
+            stack.extend(zip(pat.children, tgt.children))
+    return env
+
+
+def _ground(plan, pattern, env):
+    """``pattern`` with each variable replaced by its pool member in ``env``."""
+    if pattern.__class__ is Var:
+        k = plan.slot[pattern]
+        return plan.pools[k][env[k]]
+    if not pattern.open:
+        return pattern
+    return Apply(pattern.production, tuple(_ground(plan, c, env) for c in pattern.children))
+
+
+def _extend(plan, env, slots):
+    """``env`` with the positions ``slots`` ranging over their pools."""
+    for combo in product(*(range(len(plan.pools[k])) for k in slots)):
+        out = list(env)
+        for k, i in zip(slots, combo):
+            out[k] = i
+        yield out
+
+
+def _new_tuples(plan, known, heads, delta, delta_heads) -> list:
+    """Pool-index tuples of ``plan`` whose premise instances are all in
+    ``known`` and at least one of which is in ``delta``, in product order.
+
+    The premises are joined one at a time, the one drawn from ``delta``
+    first.  A premise binds its still-free variables by matching the facts
+    with its head, or, when the product of those variables' pools is
+    smaller, by ranging over the pools and looking the instance up."""
+    premises = plan.assertion.premises
+    found = set()
+    for first in range(len(premises)):
+        envs = [[None] * len(plan.variables)]
+        bound = set()
+        for j in [first] + [j for j in range(len(premises)) if j != first]:
+            facts, index = (delta, delta_heads) if j == first else (known, heads)
+            pattern = premises[j]
+            free = [k for k in plan.premise_slots[j] if k not in bound]
+            bound.update(free)
+            candidates = index.get(pattern.production.id if pattern.__class__ is Apply else None, ())
+            if prod(len(plan.pools[k]) for k in free) < len(candidates):
+                envs = [e for env in envs for e in _extend(plan, env, free)
+                        if _ground(plan, pattern, e) in facts]
+            else:
+                envs = [e for env in envs for f in candidates
+                        if (e := _match(plan, pattern, f, env)) is not None]
+            if not envs:
+                break
+        for env in envs:
+            found.update(tuple(e) for e in _extend(plan, env, plan.conclusion_only))
+    return sorted(found)
+
+
 def saturate(d: DeductiveSystem, s: Statement, b: SaturationBounds) -> Saturation:
+    """Forward saturation, semi-naive: round r instantiates an assertion only
+    where one of its premise instances was derived in round r - 1 (the
+    statement's premises count as new in round 1), so every instance is
+    visited once.  Assertions without premises fire in round 1 only.
+    """
     pool = b.variable_pool
     if pool is None:
         seen = set()
@@ -137,24 +251,28 @@ def saturate(d: DeductiveSystem, s: Statement, b: SaturationBounds) -> Saturatio
     known = {p: 0 for p in s.premises}
     justifications = {}
     recorded = set()
-
-    plans = []
-    for a in d.assertions:
-        avars = assertion_variables(a)
-        pools = [_instance_pool(universe, v.kind) for v in avars]
-        plans.append((a, avars, pools))
+    plans = [_Plan(a, universe) for a in d.assertions]
+    heads = _index(known, {None: []})
+    delta = set(known)
 
     rounds_run = 0
     for rnd in range(1, b.max_rounds + 1):
         new = {}
-        for a, avars, pools in plans:
-            if not a.premises and rnd > 1:
-                continue  # instance set is fixed; round 1 already found it all
-            for images in product(*pools):
+        delta_heads = _index(delta, {None: []})
+        for plan in plans:
+            a, avars, pools = plan.assertion, plan.variables, plan.pools
+            if not a.premises:
+                if rnd > 1:
+                    continue  # instance set is fixed; round 1 already found it all
+                tuples = product(*pools)
+            else:
+                tuples = (
+                    tuple(p[i] for p, i in zip(pools, at))
+                    for at in _new_tuples(plan, known, heads, delta, delta_heads)
+                )
+            for images in tuples:
                 theta = Substitution(zip(avars, images))
                 instances = tuple(apply(theta, p) for p in a.premises)
-                if any(inst not in known for inst in instances):
-                    continue
                 conclusion = apply(theta, a.proposition)
                 tag = (conclusion, a.id, theta)
                 if tag not in recorded:
@@ -168,6 +286,8 @@ def saturate(d: DeductiveSystem, s: Statement, b: SaturationBounds) -> Saturatio
             break
         rounds_run = rnd
         known.update(new)
+        _index(new, heads)
+        delta = new
 
     return Saturation(known, justifications, universe, rounds_run)
 

@@ -150,10 +150,31 @@ def replaceable_variables(e: Expression) -> set:
 
 
 def freeze_expression(e: Expression) -> Expression:
-    """Copy of ``e`` with every variable marked non-replaceable."""
-    if isinstance(e, Var):
-        return e if not e.replaceable else Var(e.name, e.kind, False)
-    return Apply(e.production, tuple(freeze_expression(c) for c in e.children))
+    """Copy of ``e`` with every variable marked non-replaceable.  Closed
+    subterms are returned as they are.  The walk keeps its own stack, so
+    nesting depth is not limited by Python's recursion limit."""
+    done = []  # frozen subterms, in the order their parents consume them
+    frozen = {}  # variable -> its frozen copy
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is tuple:  # (apply,): its frozen children are done
+            node = node[0]
+            n = len(node.children)
+            done[-n:] = [Apply(node.production, tuple(done[-n:]))]
+        elif node.__class__ is Var:
+            if node.replaceable:
+                copy = frozen.get(node)
+                if copy is None:
+                    copy = frozen[node] = Var(node.name, node.kind, False)
+                node = copy
+            done.append(node)
+        elif node.open:
+            stack.append((node,))
+            stack.extend(reversed(node.children))
+        else:
+            done.append(node)
+    return done[0]
 
 
 def match_many(pairs) -> Optional[Substitution]:

@@ -318,3 +318,66 @@ def reference_parse_any_kind(g, tokens):
     if len(found) > 1:
         raise AmbiguousParseError(f"{' '.join(toks)!r} has {len(found)} parse trees")
     return found[0]
+
+
+# The saturation loop the oracle used before it became semi-naive: every
+# round instantiates every assertion with every tuple of universe members.
+# Kept only as the oracle of the differential tests in test_oracle.py.
+
+
+def reference_saturate(d, s, b):
+    from itertools import product
+
+    from plf.oracle import (
+        Justification,
+        Saturation,
+        _instance_pool,
+        expression_universe,
+    )
+    from plf.system import assertion_variables
+    from plf.term import apply, variables_of
+
+    pool = b.variable_pool
+    if pool is None:
+        seen = set()
+        for e in (*s.premises, s.goal):
+            seen |= variables_of(e)
+        pool = tuple(sorted(seen, key=lambda v: v.name))
+    universe = expression_universe(d.grammar, pool, b.max_expression_tokens, b.universe_cap)
+
+    known = {p: 0 for p in s.premises}
+    justifications = {}
+    recorded = set()
+
+    plans = []
+    for a in d.assertions:
+        avars = assertion_variables(a)
+        pools = [_instance_pool(universe, v.kind) for v in avars]
+        plans.append((a, avars, pools))
+
+    rounds_run = 0
+    for rnd in range(1, b.max_rounds + 1):
+        new = {}
+        for a, avars, pools in plans:
+            if not a.premises and rnd > 1:
+                continue
+            for images in product(*pools):
+                theta = Substitution(zip(avars, images))
+                instances = tuple(apply(theta, p) for p in a.premises)
+                if any(inst not in known for inst in instances):
+                    continue
+                conclusion = apply(theta, a.proposition)
+                tag = (conclusion, a.id, theta)
+                if tag not in recorded:
+                    entry = justifications.setdefault(conclusion, [])
+                    if len(entry) < 64:
+                        entry.append(Justification(a.id, theta, instances))
+                        recorded.add(tag)
+                if conclusion not in known and conclusion not in new:
+                    new[conclusion] = rnd
+        if not new:
+            break
+        rounds_run = rnd
+        known.update(new)
+
+    return Saturation(known, justifications, universe, rounds_run)

@@ -132,6 +132,31 @@ def test_oracle_dump_derived(hilbert_path, tmp_path, capsys):
     assert lines == sorted(lines) and lines
 
 
+def test_oracle_dump_is_replaced_atomically(hilbert_path, tmp_path, capsys, monkeypatch):
+    out_dir = tmp_path / "dumps"
+    out_dir.mkdir()
+    dump = out_dir / "derived.txt"
+    argv = ("oracle", str(hilbert_path), "--statement", "id",
+            "--max-size", "13", "--max-rounds", "2", "--dump-derived", str(dump))
+    dump.write_text("old dump\n")
+    # a write that fails before the rename leaves the old file and no debris
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and "rename refused" in err
+    assert dump.read_text() == "old dump\n"
+    assert os.listdir(out_dir) == ["derived.txt"]
+    monkeypatch.undo()
+
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1  # id is not derived at 13 tokens
+    assert os.listdir(out_dir) == ["derived.txt"]
+    lines = dump.read_text().splitlines()
+    assert f"derived={len(lines)}" in out.splitlines()
+
+
 def test_trace_goes_to_stderr(hilbert_path, capsys):
     code, out, err = run_cli(
         capsys, "prove", str(hilbert_path), "--statement", "id", "--trace"

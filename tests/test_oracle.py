@@ -11,7 +11,9 @@ from plf import (
 )
 from plf.oracle import dump_derived, expression_universe, oracle_proofs, provable
 from plf.term import freeze_expression
-from helpers import assertion_multiset, expr
+from helpers import assertion_multiset, expr, reference_saturate
+from randsys import corpus
+from test_acceptance import CORPUS_SEED, CORPUS_SYSTEMS, ORACLE_BOUNDS
 
 
 def test_hilbert_id_derived_at_17_tokens(hilbert):
@@ -118,3 +120,119 @@ def test_dump_derived_sorted(hilbert):
     lines = text.strip().splitlines()
     assert lines == sorted(lines)
     assert all(l for l in lines)
+
+
+def _assert_same_saturation(d, s, b):
+    """Require the oracle and the reference to give the same saturation, in
+    every insertion order, or both to raise UniverseOverflowError.  Returns
+    the oracle's saturation, or "overflow"."""
+    results, records = [], []
+    for run in (saturate, reference_saturate):
+        try:
+            sat = run(d, s, b)
+        except UniverseOverflowError:
+            results.append("overflow")
+            records.append("overflow")
+            continue
+        results.append(sat)
+        records.append((
+            list(sat.derived.items()),
+            list(sat.justifications.items()),
+            list(sat.universe.items()),
+            sat.rounds_run,
+        ))
+    assert records[0] == records[1]
+    return results[0]
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [SaturationBounds(13, 3), SaturationBounds(17, 5), SaturationBounds(25, 2, universe_cap=50)],
+)
+def test_saturation_equals_reference_on_hilbert(hilbert, bounds):
+    sat = _assert_same_saturation(hilbert, hilbert.statement("id"), bounds)
+    assert (sat == "overflow") == (bounds.universe_cap == 50)
+
+
+def test_saturation_equals_reference_on_corpus():
+    bounds = SaturationBounds(**ORACLE_BOUNDS)
+    outcomes = set()
+    for d in corpus(CORPUS_SEED, CORPUS_SYSTEMS):
+        for s in d.statements:
+            sat = _assert_same_saturation(d, s, bounds)
+            outcomes.add("overflow" if sat == "overflow" else s.goal in sat.derived)
+    assert outcomes == {True, False}
+
+
+HILBERT_HEAD = 'kind wff\nvar ph ps p q : wff\nrule imp : wff ::= "(" wff "->" wff ")"\n'
+
+
+def test_join_binds_a_repeated_premise_variable_once():
+    d = load_system(
+        HILBERT_HEAD
+        + 'axiom MP : "ph" "( ph -> ps )" => "ps"\naxiom dup : "ph" => "( ph -> ph )"\n'
+        'axiom un : "( ph -> ph )" => "ph"\nstatement s : "p" "( p -> q )" => "q"\n'
+    )
+    sat = _assert_same_saturation(d, d.statement("s"), SaturationBounds(9, 4))
+    assert sat.derived[expr(d, "( ( q -> q ) -> ( q -> q ) )")] == 3
+
+
+def test_join_matches_a_nullary_constant_in_a_premise():
+    d = load_system(
+        'kind wff\nvar ph p : wff\nrule c : wff ::= "c"\nrule imp : wff ::= "(" wff "->" wff ")"\n'
+        'axiom elim : "( c -> ph )" => "ph"\naxiom intro : "ph" => "( c -> ph )"\n'
+        'statement s : "( c -> p )" => "( c -> ( c -> p ) )"\n'
+    )
+    sat = _assert_same_saturation(d, d.statement("s"), SaturationBounds(5, 4))
+    assert sat.derived[expr(d, "p")] == 1
+
+
+def test_join_binds_a_coerced_image():
+    d = load_system(
+        "kind wff\nkind class\nkind set\ncoerce set into class\n"
+        'rule el : wff ::= "(" class "e." class ")"\nrule sing : class ::= "{" class "}"\n'
+        'rule zero : set ::= "0"\nvar A B : class\nvar y z : set\n'
+        'axiom up : "( A e. B )" => "( { A } e. B )"\n'
+        'statement s : "( y e. z )" => "( { y } e. z )"\n'
+    )
+    s = d.statement("s")
+    sat = _assert_same_saturation(d, s, SaturationBounds(4, 3))
+    (just,) = sat.justifications[s.goal]
+    assert [image.kind.name for _, image in just.witness.items()] == ["set", "set"]
+
+
+def test_join_skips_a_fact_whose_subterm_is_outside_the_universe():
+    # ps would bind to ( ( p -> p ) -> p ), 7 tokens, outside the 5-token
+    # universe; MP may therefore not take this premise
+    d = load_system(
+        HILBERT_HEAD + 'axiom MP : "ph" "( ph -> ps )" => "ps"\n'
+        'statement s : "( p -> p )" "( ( p -> p ) -> ( ( p -> p ) -> p ) )" => "p"\n'
+    )
+    sat = _assert_same_saturation(d, d.statement("s"), SaturationBounds(5, 3))
+    assert sat.rounds_run == 0 and sat.justifications == {}
+
+
+def test_conclusion_only_variable_ranges_over_its_pool():
+    d = load_system(
+        HILBERT_HEAD + 'axiom weak : "ph" => "( ps -> ph )"\nstatement s : "p" => "( q -> p )"\n'
+    )
+    s = d.statement("s")
+    sat = _assert_same_saturation(d, s, SaturationBounds(5, 3))
+    pool = sat.universe["wff"]
+    assert len(sat.justifications[s.goal]) == 1
+    assert sum(1 for e, r in sat.derived.items() if r == 1) == len(pool)
+
+
+def test_justification_cap_is_reached_in_the_reference_order():
+    d = load_system(
+        'kind wff\nvar ph p q : wff\nrule c : wff ::= "c"\nrule imp : wff ::= "(" wff "->" wff ")"\n'
+        'axiom all : => "ph"\naxiom dup : "ph" => "( ph -> ph )"\n'
+        'axiom k : "( ph -> ph )" => "c"\nstatement s : => "( p -> q )"\n'
+    )
+    sat = _assert_same_saturation(d, d.statement("s"), SaturationBounds(9, 3))
+    rounds = [
+        max((sat.derived[p] for p in j.premises), default=0)
+        for j in sat.justifications[expr(d, "c")]
+    ]
+    # the cap of 64 falls inside round 3, among instances of round-2 facts
+    assert len(rounds) == 64 and rounds.count(2) == 60

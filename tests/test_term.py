@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from plf import KindMismatchError, render_string
-from plf.grammar import Grammar, Var
+from plf import KindMismatchError, load_system, render_string
+from plf.grammar import Apply, Grammar, Var
 from plf.term import (
     EMPTY,
     Substitution,
@@ -20,6 +20,7 @@ from plf.term import (
     unify_substitutions,
     variables_of,
 )
+from conftest import HILBERT_PLS
 from helpers import (
     enumerate_trees,
     expr,
@@ -504,3 +505,34 @@ def test_variables_of(hilbert):
     assert {v.name for v in variables_of(e)} == {"ph", "p"}
     frozen = freeze_expression(e)
     assert replaceable_variables(frozen) == set()
+
+
+def test_freeze_deep_goal_without_recursion():
+    # a 1,000-deep ( q -> ... p ) goal: 4,001 tokens, loaded and frozen
+    depth = 1000
+    text = "( q -> " * depth + "p" + " )" * depth
+    assert len(text.split()) == 4001
+    d = load_system(HILBERT_PLS + f'statement deep : => "{text}"\n')
+    g = d.grammar
+    imp = next(p for p in g.productions if p.id == "imp")
+    built = g.variable("p")
+    for _ in range(depth):
+        built = Apply(imp, (g.variable("q"), built))
+    # Apply.__eq__ recurses once per level, so compare level by level
+    goal = d.statement("deep").goal
+    for _ in range(depth):
+        assert hash(goal) == hash(built) and not goal.open
+        assert goal.production == built.production
+        assert goal.children[0] == built.children[0]
+        assert not goal.children[0].replaceable
+        goal, built = goal.children[1], built.children[1]
+    assert goal == built and not goal.replaceable
+
+
+def test_freeze_returns_closed_subterms_unchanged(hilbert):
+    e = expr(hilbert, "( ( p -> q ) -> r )")
+    frozen = freeze_expression(e)
+    assert frozen == e and not frozen.open
+    assert not any(v.replaceable for v in frozen.children[0].children)
+    assert freeze_expression(frozen) is frozen
+    assert freeze_expression(frozen.children[1]) is frozen.children[1]
