@@ -21,8 +21,11 @@ Two interleaved passes over an AND-OR tree of goals:
 
 Tuples of sibling certificates are enumerated incrementally: each new
 certificate is crossed against the already-present certificates of the other
-children, so every tuple is tested exactly once.  Expansion is FIFO over
-goal creation, which keeps the search fair within its limits.
+children, so every tuple is tested at most once.  A rule node that is full
+after the certificate cap has tripped crosses no more tuples, since none of
+them could add a certificate; ``tuples_tested`` counts only the tuples
+crossed.  Expansion is FIFO over goal creation, which keeps the search fair
+within its limits.
 """
 
 from __future__ import annotations
@@ -286,7 +289,12 @@ def propagate_anode(state: SearchState, rule_id: int, trigger: int) -> list:
     """Cross a fresh child certificate against the existing certificates of
     the rule's other children; every tuple whose substitutions unify becomes
     a certificate of the rule node.  The deadline is checked before each
-    tuple, since one crossing can outlast many goal expansions."""
+    tuple, since one crossing can outlast many goal expansions.
+
+    Once the cap has tripped and this node holds ``max_spts_per_node``
+    certificates, every further tuple would be a duplicate or be rejected by
+    the cap, which changes nothing, so the crossing stops there: each tuple
+    is tested at most once, and ``tuples_tested`` counts only those crossed."""
     rule = state.rules[rule_id]
     trig_node = state.certs[trigger].node
     pools = [
@@ -295,8 +303,11 @@ def propagate_anode(state: SearchState, rule_id: int, trigger: int) -> list:
     ]
     parent_scope = state.goals[rule.parent].scope
     edge = rule.edge_unifier
+    cap = state.limits.max_spts_per_node
     created = []
     for combo in product(*pools):
+        if state.certs_capped and len(rule.certs) >= cap:
+            break  # the node can fill partway through the product
         if time.monotonic() > state.deadline:
             state.limit_hit = "timeout"
             break

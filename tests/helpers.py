@@ -381,3 +381,77 @@ def reference_saturate(d, s, b):
         known.update(new)
 
     return Saturation(known, justifications, universe, rounds_run)
+
+
+# -- reference crossing ------------------------------------------------------
+# The rule-node crossing the search used before it stopped at a full node
+# whose certificate cap had tripped: it tests every tuple of the product.
+# Kept only as the oracle of the differential tests in test_search.py, which
+# monkeypatch it over plf.search.propagate_anode.
+
+
+def reference_propagate_anode(state, rule_id, trigger):
+    import time
+    from itertools import product
+
+    import plf.search
+    from plf.term import apply, unify_substitutions
+
+    rule = state.rules[rule_id]
+    trig_node = state.certs[trigger].node
+    pools = [
+        (trigger,) if child == trig_node else state.goals[child].certs
+        for child in rule.children
+    ]
+    parent_scope = state.goals[rule.parent].scope
+    edge = rule.edge_unifier
+    created = []
+    for combo in product(*pools):
+        if time.monotonic() > state.deadline:
+            state.limit_hit = "timeout"
+            break
+        state.stats.tuples_tested += 1
+        outcome = unify_substitutions([state.certs[c].label for c in combo])
+        if outcome is None:
+            continue
+        state.stats.tuples_unified += 1
+        delta, com = outcome
+        label = Substitution({v: apply(com, apply(edge, v)) for v in parent_scope})
+        cid = state._add_cert(rule_id, True, label, combo, com, delta)
+        if cid is None:
+            continue
+        created.append(cid)
+        plf.search.propagate_enode(state, rule.parent, cid)
+        if state.proved is not None:
+            break
+    return created
+
+
+def _term_text(e):
+    """Structural text of an expression, equal exactly when the expressions
+    compare equal (a variable's replaceable flag is not part of either)."""
+    if isinstance(e, Var):
+        return f"{e.name}:{e.kind.name}"
+    kids = "".join(" " + _term_text(c) for c in e.children)
+    return f"({e.production.id}:{e.production.result_kind.name}{kids})"
+
+
+def saturation_digest(sat):
+    """Digest of everything a saturation decides, in order: derived facts
+    with their rounds, every justification list (assertion, witness,
+    premises), the universe and rounds_run; "overflow" for None."""
+    import hashlib
+
+    if sat is None:
+        return "overflow"
+    lines = [f"rounds_run {sat.rounds_run}"]
+    lines += [f"derived {_term_text(e)} {rnd}" for e, rnd in sat.derived.items()]
+    for conclusion, entries in sat.justifications.items():
+        lines.append(f"justified {_term_text(conclusion)}")
+        for j in entries:
+            witness = " ".join(f"{_term_text(v)}:={_term_text(img)}" for v, img in j.witness.items())
+            premises = " ".join(_term_text(p) for p in j.premises)
+            lines.append(f"  by {j.assertion_id} {{{witness}}} from [{premises}]")
+    for kind, members in sat.universe.items():
+        lines.append(f"universe {kind} " + " ".join(_term_text(e) for e in members))
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:24]

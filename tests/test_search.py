@@ -13,10 +13,13 @@ from plf import (
     render_string,
     run,
 )
-from plf.proof import proof_leaves
+from plf.proof import proof_leaves, serialize_proof
 from plf.search import expand_enode, extract_proof, propagate_anode, seed_leaf_spts
 from plf.term import EMPTY, Substitution, apply, freeze_expression, unify_substitutions
-from helpers import assertion_multiset, expr, sub
+from conftest import HILBERT_PLS
+from helpers import assertion_multiset, expr, reference_propagate_anode, sub
+from randsys import corpus
+from test_acceptance import CORPUS_SEED
 
 
 def fresh_state(d, sid, **kwargs):
@@ -185,17 +188,20 @@ def test_node_cap_trips(hilbert):
     assert out.limit == "nodes"
 
 
+# The three hard statements of the benchmark's Hilbert ladder; ch stands in
+# for the ladder's fourth statement variable.
+HARD_HILBERT = load_system(
+    HILBERT_PLS
+    + 'statement syld : "( p -> ( q -> r ) )" "( p -> ( r -> ch ) )" => "( p -> ( q -> ch ) )"\n'
+    + 'statement imim1 : => "( ( p -> q ) -> ( ( q -> r ) -> ( p -> r ) ) )"\n'
+    + 'statement syl5 : "( p -> q )" "( r -> ( q -> ch ) )" => "( r -> ( p -> ch ) )"\n'
+)
+
+
 def test_timeout_holds_inside_crossing(monkeypatch):
     # syld crosses thousands of tuples per expansion at depth 8; a clock that
     # jumps past the deadline on its 3000th read must stop the crossing at once
-    from conftest import HILBERT_PLS
-
-    d = load_system(
-        HILBERT_PLS
-        + 'statement syld : "( p -> ( q -> r ) )" "( p -> ( r -> ch ) )"'
-        + ' => "( p -> ( q -> ch ) )"\n'
-    )
-    state = fresh_state(d, "syld")
+    state = fresh_state(HARD_HILBERT, "syld")
     reads = 0
     tested_when_passed = []
 
@@ -212,8 +218,104 @@ def test_timeout_holds_inside_crossing(monkeypatch):
     out = run(state, SearchLimits(max_depth=8, max_spts_per_node=20, timeout=60.0))
     assert isinstance(out, LimitReached)
     assert out.limit == "timeout"
+    # only the crossing sets limit_hit on a timeout; run()'s own check does not
+    assert state.limit_hit == "timeout"
     assert tested_when_passed and tested_when_passed[0] > 0
     assert state.stats.tuples_tested - tested_when_passed[0] <= 1
+
+
+def _search_record(state, outcome):
+    """Everything a search decides: verdict, limit, proof text, node and
+    certificate counts, and every certificate in id order."""
+    stats = outcome.stats
+    return (
+        type(outcome).__name__,
+        getattr(outcome, "limit", None),
+        serialize_proof(outcome.proof) if isinstance(outcome, Proved) else None,
+        (stats.goal_nodes, stats.rule_nodes, stats.certificates),
+        list(state.certs.values()),  # id, node, at_rule, label, children, com, delta
+    )
+
+
+def _same_as_reference_crossing(monkeypatch, d, sid, limits):
+    """Run the search and the reference crossing (no cut-off at full nodes);
+    require the same record and no more tuples tested.  Returns both
+    outcomes, the search's first."""
+    with monkeypatch.context() as m:
+        m.setattr(plf.search, "propagate_anode", reference_propagate_anode)
+        ref_state = init_search(d, d.statement(sid))
+        ref = run(ref_state, limits)
+    state = init_search(d, d.statement(sid))
+    out = run(state, limits)
+    assert _search_record(state, out) == _search_record(ref_state, ref)
+    assert out.stats.tuples_tested <= ref.stats.tuples_tested
+    return out, ref
+
+
+@pytest.mark.parametrize("sid", ["syld", "imim1", "syl5"])
+def test_crossing_equals_reference_on_hard_hilbert(monkeypatch, sid):
+    limits = SearchLimits(max_depth=8, max_spts_per_node=20, timeout=600.0)
+    out, ref = _same_as_reference_crossing(monkeypatch, HARD_HILBERT, sid, limits)
+    assert out.stats.tuples_tested < ref.stats.tuples_tested
+
+
+@pytest.mark.parametrize("cap", [2, 120])
+def test_crossing_equals_reference_on_corpus(monkeypatch, cap):
+    limits = SearchLimits(max_depth=6, max_nodes=4000, max_spts_per_node=cap, timeout=600.0)
+    verdicts = set()
+    tested = [0, 0]
+    for d in corpus(CORPUS_SEED, 40):
+        for s in d.statements:
+            out, ref = _same_as_reference_crossing(monkeypatch, d, s.id, limits)
+            verdicts.add(type(out).__name__)
+            tested[0] += out.stats.tuples_tested
+            tested[1] += ref.stats.tuples_tested
+    assert verdicts == {"Proved", "Exhausted", "LimitReached"}
+    assert tested[0] < tested[1]  # the slice reaches a full node
+
+
+def test_full_node_stops_crossing_on_syld():
+    state = fresh_state(HARD_HILBERT, "syld")
+    out = run(state, SearchLimits(max_depth=8, max_spts_per_node=20, timeout=600.0))
+    assert isinstance(out, LimitReached) and out.limit == "depth"
+    assert out.stats.tuples_tested < 5000  # 17,808 when every tuple is crossed
+
+
+# Goal k is proved by up from two goals h, each of which h1, h2 and h3 prove
+# outright, so the rule node of up crosses 3 x 3 tuples that all unify; goal
+# n is never proved, so the search cannot end Proved.
+NINE_TUPLES = """\
+kind wff
+rule g : wff ::= "g"
+rule k : wff ::= "k"
+rule n : wff ::= "n"
+rule h : wff ::= "h"
+axiom h1 : => "h"
+axiom h2 : => "h"
+axiom h3 : => "h"
+axiom up : "h" "h" => "k"
+axiom top : "k" "n" => "g"
+statement s : => "g"
+"""
+
+
+@pytest.mark.parametrize(
+    "cap, verdict, tested",
+    [
+        (10, "Exhausted", 9),
+        (9, "Exhausted", 9),  # the node is exactly full after the last tuple
+        (8, "LimitReached", 9),  # the last tuple is rejected by the cap
+        (4, "LimitReached", 5),  # the fifth is rejected; the rest are not crossed
+    ],
+)
+def test_cap_boundary_between_spts_and_exhausted(monkeypatch, cap, verdict, tested):
+    d = load_system(NINE_TUPLES)
+    limits = SearchLimits(max_depth=4, max_spts_per_node=cap, timeout=600.0)
+    out, ref = _same_as_reference_crossing(monkeypatch, d, "s", limits)
+    assert type(out).__name__ == verdict
+    if verdict == "LimitReached":
+        assert out.limit == "spts"
+    assert (out.stats.tuples_tested, ref.stats.tuples_tested) == (tested, 9)
 
 
 def test_propagation_clash_skipped():
