@@ -150,7 +150,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (FrameworkError, OSError, RecursionError) as exc:
-        # RecursionError: input nested deeper than the recursive walkers allow
+        # RecursionError: what still recurses once per nesting level is `apply`
+        # on a deep pattern and the search's certificate propagation
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -126,15 +126,26 @@ class Apply:
         setattr(self, "open", is_open)
 
     def __eq__(self, other):
+        """Structural equality, insensitive to the replaceable flag.  The
+        walk keeps its own stacks of the subterms still to compare."""
         if self is other:
             return True
         if other.__class__ is not Apply:
             return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.production == other.production
-            and self.children == other.children
-        )
+        left, right = [self], [other]
+        while left:
+            a, b = left.pop(), right.pop()
+            if a.__class__ is not Apply or b.__class__ is not Apply:
+                if a != b:  # a variable leaf on either side
+                    return False
+            elif a is not b:
+                if a._hash != b._hash or len(a.children) != len(b.children) or (
+                    a.production is not b.production and a.production != b.production
+                ):
+                    return False
+                left += a.children
+                right += b.children
+        return True
 
     def __hash__(self):
         return self._hash
@@ -434,21 +445,24 @@ def parse_any_kind(g: Grammar, tokens: Sequence[str]) -> Expression:
 
 
 def render_expression(e: Expression) -> list:
-    """The token sequence an expression denotes (inverse of parsing)."""
+    """The token sequence an expression denotes (inverse of parsing).  The
+    walk keeps its own stack of subterms and literal texts still to emit."""
     out = []
-
-    def walk(node):
-        if isinstance(node, Var):
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is str:
+            out.append(node)
+        elif node.__class__ is Var:
             out.append(node.name)
-            return
-        children = iter(node.children)
-        for item in node.production.rhs:
-            if isinstance(item, Lit):
-                out.append(item.text)
-            else:
-                walk(next(children))
-
-    walk(e)
+        else:
+            k = len(node.children)
+            for item in reversed(node.production.rhs):
+                if item.__class__ is Lit:
+                    stack.append(item.text)
+                else:
+                    k -= 1
+                    stack.append(node.children[k])
     return out
 
 

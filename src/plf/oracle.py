@@ -9,7 +9,8 @@ its last premise was derived, and premise variables are bound by matching
 the premises against the derived facts (a join) instead of trying every
 universe member.  The saturation is the one the exhaustive product over the
 universe gives, down to the order of every justification list.  The oracle
-has its own ground matcher and shares nothing with the search code.
+has its own ground matcher and instantiation; it shares only the
+``Substitution`` witness type and ``variables_of`` with the kernel.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import GoalNotDerivedError, UniverseOverflowError
 from .grammar import Apply, Expression, Lit, Slot, Var, render_string
 from .proof import Inference, ProofNode
 from .system import DeductiveSystem, Statement, assertion_variables
-from .term import Substitution, apply, variables_of
+from .term import Substitution, variables_of
 
 
 @dataclass(frozen=True)
@@ -250,7 +251,6 @@ def saturate(d: DeductiveSystem, s: Statement, b: SaturationBounds) -> Saturatio
 
     known = {p: 0 for p in s.premises}
     justifications = {}
-    recorded = set()
     plans = [_Plan(a, universe) for a in d.assertions]
     heads = _index(known, {None: []})
     delta = set(known)
@@ -260,26 +260,22 @@ def saturate(d: DeductiveSystem, s: Statement, b: SaturationBounds) -> Saturatio
         new = {}
         delta_heads = _index(delta, {None: []})
         for plan in plans:
-            a, avars, pools = plan.assertion, plan.variables, plan.pools
-            if not a.premises:
-                if rnd > 1:
-                    continue  # instance set is fixed; round 1 already found it all
-                tuples = product(*pools)
+            a = plan.assertion
+            if a.premises:
+                tuples = _new_tuples(plan, known, heads, delta, delta_heads)
+            elif rnd == 1:  # the instance set is fixed; round 1 finds it all
+                tuples = _extend(plan, [None] * len(plan.variables), plan.conclusion_only)
             else:
-                tuples = (
-                    tuple(p[i] for p, i in zip(pools, at))
-                    for at in _new_tuples(plan, known, heads, delta, delta_heads)
-                )
-            for images in tuples:
-                theta = Substitution(zip(avars, images))
-                instances = tuple(apply(theta, p) for p in a.premises)
-                conclusion = apply(theta, a.proposition)
-                tag = (conclusion, a.id, theta)
-                if tag not in recorded:
-                    entry = justifications.setdefault(conclusion, [])
-                    if len(entry) < _MAX_JUSTIFICATIONS_PER_EXPR:
-                        entry.append(Justification(a.id, theta, instances))
-                        recorded.add(tag)
+                continue
+            for at in tuples:
+                conclusion = _ground(plan, a.proposition, at)
+                entry = justifications.setdefault(conclusion, [])
+                if len(entry) < _MAX_JUSTIFICATIONS_PER_EXPR:
+                    theta = Substitution(
+                        (v, pool[i]) for v, pool, i in zip(plan.variables, plan.pools, at)
+                    )
+                    instances = tuple(_ground(plan, p, at) for p in a.premises)
+                    entry.append(Justification(a.id, theta, instances))
                 if conclusion not in known and conclusion not in new:
                     new[conclusion] = rnd
         if not new:

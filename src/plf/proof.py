@@ -11,6 +11,7 @@ repaired by the checker.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -52,58 +53,55 @@ class Violation:
         return f"at {self.path}: {self.message}"
 
 
-def _walk_transitions(d, node, path, out):
-    inf = node.inference
-    if inf is None:
-        return
-    a = d.assertion(inf.assertion_id)
-    w = inf.witness
-    if len(inf.children) != len(a.premises):
-        out.append(
-            Violation(
-                path,
-                f"{a.id} expects {len(a.premises)} premises, got {len(inf.children)}",
-            )
-        )
-    else:
-        for i, (prem, child) in enumerate(zip(a.premises, inf.children)):
-            if apply(w, prem) != child.expression:
-                out.append(
-                    Violation(
-                        f"{path}.{i}",
-                        f"premise {i} of {a.id}: witness instance is "
-                        f"'{render_string(apply(w, prem))}' but node reads "
-                        f"'{render_string(child.expression)}'",
-                    )
-                )
-    if apply(w, a.proposition) != node.expression:
-        out.append(
-            Violation(
-                path,
-                f"proposition of {a.id}: witness instance is "
-                f"'{render_string(apply(w, a.proposition))}' but node reads "
-                f"'{render_string(node.expression)}'",
-            )
-        )
-    for i, child in enumerate(inf.children):
-        _walk_transitions(d, child, f"{path}.{i}", out)
+def _preorder(t: ProofNode):
+    """Yield ``(path, node)`` for every node of ``t``, each parent before its
+    children and children in order.  ``path`` lists the child indices from
+    the root (``[0]`` is the root) and is one list updated in place, so read
+    it before the walk moves on.  The walk keeps its own stack, so proof
+    depth is not limited by Python's recursion limit."""
+    path = []
+    stack = [(0, 0, t)]  # (depth, child index, node)
+    while stack:
+        depth, i, node = stack.pop()
+        del path[depth:]
+        path.append(i)
+        yield path, node
+        if node.inference is not None:
+            kids = node.inference.children
+            stack.extend((depth + 1, j, kids[j]) for j in reversed(range(len(kids))))
 
 
 def check_proof(d: DeductiveSystem, t: ProofNode) -> list:
     """Empty list iff every transition is an exact instance of its assertion
     under the stored witness.  Raises UnknownAssertionError for bad ids."""
     out = []
-    _walk_transitions(d, t, "0", out)
+    for path, node in _preorder(t):
+        inf = node.inference
+        if inf is None:
+            continue
+        a = d.assertion(inf.assertion_id)
+        checks = [(None, a.proposition, node)]  # (premise index, pattern, node)
+        if len(inf.children) != len(a.premises):
+            out.append(Violation(
+                ".".join(map(str, path)),
+                f"{a.id} expects {len(a.premises)} premises, got {len(inf.children)}",
+            ))
+        else:
+            checks[:0] = zip(range(len(a.premises)), a.premises, inf.children)
+        for i, pattern, at in checks:
+            instance = apply(inf.witness, pattern)
+            if instance != at.expression:
+                what = f"proposition of {a.id}" if i is None else f"premise {i} of {a.id}"
+                out.append(Violation(
+                    ".".join(map(str, path if i is None else [*path, i])),
+                    f"{what}: witness instance is '{render_string(instance)}' but node "
+                    f"reads '{render_string(at.expression)}'",
+                ))
     return out
 
 
 def proof_leaves(t: ProofNode) -> list:
-    if t.inference is None:
-        return [t]
-    out = []
-    for child in t.inference.children:
-        out.extend(proof_leaves(child))
-    return out
+    return [node for _, node in _preorder(t) if node.inference is None]
 
 
 def check_statement_proof(d: DeductiveSystem, s: Statement, t: ProofNode) -> list:
@@ -135,32 +133,30 @@ def substitute_proof(s: Substitution, t: ProofNode) -> ProofNode:
     Witness domains are preserved (the composite is cut back to the original
     domain), which keeps proofs over the same assertion comparable.
     """
-    inf = t.inference
-    expr = apply(s, t.expression)
-    if inf is None:
-        return ProofNode(expr)
-    witness = restrict(compose(s, inf.witness), inf.witness)
-    kids = tuple(substitute_proof(s, c) for c in inf.children)
-    return ProofNode(expr, Inference(inf.assertion_id, witness, kids))
+    done = []  # rebuilt subtrees; in reverse preorder a node's children are on top
+    for _, node in reversed(list(_preorder(t))):
+        expr = apply(s, node.expression)
+        inf = node.inference
+        if inf is None:
+            done.append(ProofNode(expr))
+            continue
+        first = len(done) - len(inf.children)
+        kids = tuple(reversed(done[first:]))
+        del done[first:]
+        witness = restrict(compose(s, inf.witness), inf.witness)
+        done.append(ProofNode(expr, Inference(inf.assertion_id, witness, kids)))
+    return done[0]
 
 
 def congruent(t1: ProofNode, t2: ProofNode) -> bool:
-    """Shape-isomorphic with equal assertion ids; expressions unconstrained."""
-    i1, i2 = t1.inference, t2.inference
-    if (i1 is None) != (i2 is None):
-        return False
-    if i1 is None:
-        return True
-    if i1.assertion_id != i2.assertion_id or len(i1.children) != len(i2.children):
-        return False
-    return all(congruent(a, b) for a, b in zip(i1.children, i2.children))
-
-
-def _expression_pairs(t1, t2, out):
-    out.append((t1.expression, t2.expression))
-    if t1.inference is not None:
-        for a, b in zip(t1.inference.children, t2.inference.children):
-            _expression_pairs(a, b, out)
+    """Shape-isomorphic with equal assertion ids; expressions unconstrained.
+    Compared as preorder lists of (assertion id, arity), None for a leaf."""
+    shape1, shape2 = (
+        [n.inference and (n.inference.assertion_id, len(n.inference.children))
+         for _, n in _preorder(t)]
+        for t in (t1, t2)
+    )
+    return shape1 == shape2
 
 
 def generality(t1: ProofNode, t2: ProofNode) -> Optional[Substitution]:
@@ -171,68 +167,45 @@ def generality(t1: ProofNode, t2: ProofNode) -> Optional[Substitution]:
     """
     if not congruent(t1, t2):
         return None
-    pairs = []
-    _expression_pairs(t1, t2, pairs)
-    delta = match_many(pairs)
-    if delta is None:
-        return None
-    if substitute_proof(delta, t1) != t2:
+    delta = match_many(
+        (a.expression, b.expression) for (_, a), (_, b) in zip(_preorder(t1), _preorder(t2))
+    )
+    if delta is None or substitute_proof(delta, t1) != t2:
         return None
     return delta
 
 
 def serialize_proof(t: ProofNode) -> str:
-    lines = []
-
-    def walk(node, depth):
-        pad = "  " * depth
-        if node.inference is None:
+    """The ``.plp`` text of ``t``: one line per node, indented two spaces per
+    level.  A line closes the steps that end with it, one ``)`` per level
+    that the next line rises."""
+    lines, depths = [], []
+    for path, node in _preorder(t):
+        depths.append(len(path) - 1)
+        pad, inf = "  " * depths[-1], node.inference
+        if inf is None:
             lines.append(f'{pad}(hyp "{render_string(node.expression)}")')
-            return
-        inf = node.inference
-        head = (
-            f'{pad}(step "{render_string(node.expression)}" by {inf.assertion_id} '
-            f"with {substitution_text(inf.witness)} from"
-        )
-        if not inf.children:
-            lines.append(head + ")")
-            return
-        lines.append(head)
-        for child in inf.children:
-            walk(child, depth + 1)
-        lines[-1] += ")"
-
-    walk(t, 0)
-    return "\n".join(lines) + "\n"
+        else:
+            lines.append(
+                f'{pad}(step "{render_string(node.expression)}" by {inf.assertion_id} '
+                f"with {substitution_text(inf.witness)} from" + ("" if inf.children else ")")
+            )
+    depths.append(0)
+    return "".join(f"{line}{')' * (depths[k] - depths[k + 1])}\n" for k, line in enumerate(lines))
 
 
-_PUNCT = {"(", ")", "{", "}", ";"}
+# whitespace, then a punctuation mark, a quoted string, a bare word, or a
+# quote left open
+_TOKEN = re.compile(r'\s*([(){};]|"[^"]*"|[^\s(){};"]+|")')
 
 
 def _lex_proof(text: str):
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _PUNCT:
-            tokens.append((c, False))
-            i += 1
-            continue
-        if c == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise ProofSyntaxError("unterminated string in proof file")
-            tokens.append((text[i + 1 : j], True))
-            i = j + 1
-            continue
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in _PUNCT and text[j] != '"':
-            j += 1
-        tokens.append((text[i:j], False))
-        i = j
+    for match in _TOKEN.finditer(text):
+        tok = match.group(1)
+        if tok == '"':
+            raise ProofSyntaxError("unterminated string in proof file")
+        tokens.append((tok[1:-1], True) if tok[0] == '"' else (tok, False))
     return tokens
 
 
@@ -288,35 +261,42 @@ class _ProofParser:
         return Substitution(bindings)
 
     def node(self):
-        self.take("(")
-        head, quoted = self.take()
-        if quoted:
-            raise ProofSyntaxError(f"expected 'hyp' or 'step', got string {head!r}")
-        if head == "hyp":
-            expr = self.expression()
-            self.take(")")
-            return ProofNode(expr)
-        if head != "step":
-            raise ProofSyntaxError(f"expected 'hyp' or 'step', got {head!r}")
-        expr = self.expression()
-        self.take("by")
-        aid, quoted = self.take()
-        if quoted:
-            raise ProofSyntaxError("assertion id must not be quoted")
-        self.d.assertion(aid)  # raises UnknownAssertionError
-        self.take("with")
-        witness = self.substitution()
-        self.take("from")
-        children = []
+        """One proof node.  Each step waits on a stack, with the children
+        read so far, until its closing ``)``."""
+        steps = []  # open steps: (expression, assertion id, witness, children)
         while True:
             tok, quoted = self.peek()
-            if tok == ")" and not quoted:
+            if steps and tok == ")" and not quoted:
                 self.take(")")
-                break
-            if tok is None:
+                expr, aid, witness, children = steps.pop()
+                done = ProofNode(expr, Inference(aid, witness, tuple(children)))
+            elif steps and tok is None:
                 raise ProofSyntaxError("unterminated step")
-            children.append(self.node())
-        return ProofNode(expr, Inference(aid, witness, tuple(children)))
+            else:
+                self.take("(")
+                head, quoted = self.take()
+                if quoted:
+                    raise ProofSyntaxError(f"expected 'hyp' or 'step', got string {head!r}")
+                if head == "hyp":
+                    done = ProofNode(self.expression())
+                    self.take(")")
+                elif head != "step":
+                    raise ProofSyntaxError(f"expected 'hyp' or 'step', got {head!r}")
+                else:
+                    expr = self.expression()
+                    self.take("by")
+                    aid, quoted = self.take()
+                    if quoted:
+                        raise ProofSyntaxError("assertion id must not be quoted")
+                    self.d.assertion(aid)  # raises UnknownAssertionError
+                    self.take("with")
+                    witness = self.substitution()
+                    self.take("from")
+                    steps.append((expr, aid, witness, []))
+                    continue
+            if not steps:
+                return done
+            steps[-1][3].append(done)
 
 
 def parse_proof(text: str, d: DeductiveSystem) -> ProofNode:

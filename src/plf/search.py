@@ -46,11 +46,11 @@ from .term import (
     apply,
     compose,
     match_expression,
-    replaceable_variables,
     restrict,
     substitution_text,
     unify_expressions,
     unify_substitutions,
+    variables_of,
 )
 
 
@@ -174,7 +174,7 @@ class SearchState:
             expression,
             depth,
             parent,
-            frozenset(replaceable_variables(expression)),
+            frozenset(v for v in variables_of(expression) if v.replaceable),
         )
         return gid
 

@@ -123,27 +123,17 @@ def restrict(s: Substitution, variables: Iterable[Var]) -> Substitution:
 
 
 def variables_of(e: Expression) -> set:
-    """All variable leaves of ``e`` (flag-insensitive set)."""
+    """All variable leaves of ``e`` (a flag-insensitive set).  A variable
+    with a replaceable occurrence is represented by one, so the replaceable
+    members are exactly the variables that a substitution may still bind."""
     out = set()
     stack = [e]
     while stack:
         node = stack.pop()
-        if isinstance(node, Var):
-            out.add(node)
-        else:
-            stack.extend(node.children)
-    return out
-
-
-def replaceable_variables(e: Expression) -> set:
-    """Variables with a replaceable occurrence in ``e``."""
-    out = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
+        if node.__class__ is Var:
             if node.replaceable:
-                out.add(node)
+                out.discard(node)  # a frozen twin must not stand for it
+            out.add(node)
         else:
             stack.extend(node.children)
     return out

@@ -24,8 +24,8 @@ from test_acceptance import CORPUS_SEED, CORPUS_SYSTEMS, ORACLE_BOUNDS
 DIGESTS = Path(__file__).resolve().parent / "data" / "corpus_saturations.txt"
 
 
-def corpus_digests(saturate):
-    """Yield (key, digest, statement, saturation or None) for every
+def saturate_corpus(saturate):
+    """Yield (key, system, statement, saturation or None) for every
     statement of the acceptance corpus, saturated at its bounds."""
     bounds = SaturationBounds(**ORACLE_BOUNDS)
     for index, d in enumerate(corpus(CORPUS_SEED, CORPUS_SYSTEMS)):
@@ -34,7 +34,7 @@ def corpus_digests(saturate):
                 sat = saturate(d, s, bounds)
             except UniverseOverflowError:
                 sat = None
-            yield f"{index} {s.id}", saturation_digest(sat), s, sat
+            yield f"{index} {s.id}", d, s, sat
 
 
 def read_digests():
@@ -44,7 +44,9 @@ def read_digests():
 
 
 def main():
-    lines = [f"{key} {digest}" for key, digest, _, _ in corpus_digests(reference_saturate)]
+    lines = [
+        f"{key} {saturation_digest(sat)}" for key, _, _, sat in saturate_corpus(reference_saturate)
+    ]
     DIGESTS.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"recorded {len(lines)} digests in {DIGESTS}")
 

@@ -19,7 +19,6 @@ from plf import (
     Proved,
     SaturationBounds,
     SearchLimits,
-    UniverseOverflowError,
     check_proof,
     check_statement_proof,
     init_search,
@@ -38,7 +37,6 @@ from plf.term import (
     freeze_expression,
     match_expression,
     match_many,
-    replaceable_variables,
     unify_substitutions,
     variables_of,
 )
@@ -75,17 +73,10 @@ def corpus_searches(corpus_systems):
 
 
 @pytest.fixture(scope="module")
-def oracle_results(corpus_systems):
-    """(system, statement, saturation or None) for the whole corpus."""
-    out = []
-    for d in corpus_systems:
-        for s in d.statements:
-            try:
-                sat = saturate(d, s, SaturationBounds(**ORACLE_BOUNDS))
-            except UniverseOverflowError:
-                sat = None  # outside the stated bounds; not part of the criterion
-            out.append((d, s, sat))
-    return out
+def oracle_results(corpus_saturations):
+    """(system, statement, saturation or None) for the whole corpus; None is
+    outside the stated bounds and not part of the criterion."""
+    return [(d, s, sat) for _, d, s, sat in corpus_saturations]
 
 
 @pytest.fixture(scope="module")
@@ -204,7 +195,7 @@ def test_criterion_5_monotonicity(completeness_runs, corpus_searches):
     while pairs < 1000:
         d, s, tree = proofs[pairs % len(proofs)]
         pool = sorted(
-            {v for node in proof_nodes(tree) for v in replaceable_variables(node.expression)},
+            {v for node in proof_nodes(tree) for v in variables_of(node.expression) if v.replaceable},
             key=lambda v: v.name,
         )
         universe = [e for k in saturate_universe(d, s) for e in k]
@@ -306,7 +297,7 @@ def test_criterion_7_matching_uniqueness(hilbert):
             target_sub = Substitution(
                 {
                     v: random_expression(rng, g, v.kind.name, 5, ground)
-                    for v in replaceable_variables(pattern)
+                    for v in variables_of(pattern) if v.replaceable
                 }
             )
             target = apply(target_sub, pattern)
@@ -327,7 +318,7 @@ def test_criterion_7_matching_uniqueness(hilbert):
 
 
 def _all_matches(pattern, target):
-    pvars = sorted(replaceable_variables(pattern), key=lambda v: v.name)
+    pvars = sorted({v for v in variables_of(pattern) if v.replaceable}, key=lambda v: v.name)
     subterms = []
 
     def collect(e):

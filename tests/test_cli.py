@@ -3,7 +3,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from plf import load_system, parse_proof, serialize_proof
 from plf.cli import main
+from conftest import HILBERT_PLS
 
 DATA = Path(__file__).parent / "data"
 
@@ -178,19 +180,50 @@ def test_trace_stream_is_golden(capsys):
     assert err.encode("utf-8") == (DATA / "id_depth6.trace").read_bytes()
 
 
-def test_verify_deeply_nested_proof_is_a_load_error(hilbert_path, tmp_path):
-    # nesting beyond the recursion limit is reported as one error line, exit 2
-    depth = 1500
-    deep = tmp_path / "deep.plp"
-    deep.write_text('(step "p" by A1 with { } from ' * depth + '(hyp "p")' + ")" * depth)
-    proc = subprocess.run(
-        [sys.executable, "-m", "plf", "verify", str(hilbert_path), str(deep),
-         "--statement", "id"],
+def _mp_chain(depth, wrong_at=None):
+    """The .plp text of a proof of p from p and ( p -> p ) by ``depth`` MP
+    steps, each nested in the one above it.  The step at depth ``wrong_at``
+    carries a witness that instantiates MP to q instead of p."""
+    witness = '{{ ph := "p" ; ps := "{}" }}'
+    lines = [
+        "  " * k + f'(step "p" by MP with {witness.format("q" if k == wrong_at else "p")} from'
+        for k in range(depth)
+    ]
+    lines.append("  " * depth + '(hyp "p")')
+    lines += ["  " * k + '(hyp "( p -> p )"))' for k in range(depth, 0, -1)]
+    return "\n".join(lines) + "\n"
+
+
+CHAIN_PLS = HILBERT_PLS + 'statement chain : "p" "( p -> p )" => "p"\n'
+
+
+def _verify_chain(tmp_path, text):
+    system, proof = tmp_path / "chain.pls", tmp_path / "chain.plp"
+    system.write_text(CHAIN_PLS)
+    proof.write_text(text)
+    return subprocess.run(
+        [sys.executable, "-m", "plf", "verify", str(system), str(proof), "--statement", "chain"],
         capture_output=True, text=True, timeout=60,
     )
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_verify_deeply_nested_proof(tmp_path):
+    # 1,500 nested steps: every proof walker keeps its own stack
+    text = _mp_chain(1500)
+    assert serialize_proof(parse_proof(text, load_system(CHAIN_PLS))) == text
+    proc = _verify_chain(tmp_path, text)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "valid\n", "")
+
+
+def test_verify_deeply_nested_violation_reports_its_path(tmp_path):
+    proc = _verify_chain(tmp_path, _mp_chain(1500, wrong_at=1000))
+    path = "0" + ".0" * 1000
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert proc.stdout.splitlines() == [
+        f"violation at {path}.1: premise 1 of MP: witness instance is '( p -> q )' "
+        "but node reads '( p -> p )'",
+        f"violation at {path}: proposition of MP: witness instance is 'q' but node reads 'p'",
+    ]
 
 
 def test_repeated_runs_byte_identical(hilbert_path, tmp_path):

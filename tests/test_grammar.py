@@ -304,14 +304,24 @@ def test_deep_chain_loads_without_recursion():
     built = g.variable("p")
     for _ in range(depth):
         built = Apply(imp, (g.variable("q"), built))
-    # Apply.__eq__ recurses once per level, so compare level by level
-    goal = d.statement("deep").goal
-    for _ in range(depth):
-        assert hash(goal) == hash(built)
-        assert goal.production == built.production
-        assert goal.children[0] == built.children[0]
-        goal, built = goal.children[1], built.children[1]
-    assert goal == built
+    assert d.statement("deep").goal == built
+
+
+def test_deep_chains_compare_and_render_without_recursion(hilbert):
+    # two separately built 2,000-deep chains: no shared subterm to shortcut on
+    g = hilbert.grammar
+    imp = next(p for p in g.productions if p.id == "imp")
+
+    def chain(last):
+        built = g.variable(last)
+        for _ in range(2000):
+            built = Apply(imp, (g.variable("q"), built))
+        return built
+
+    a, b, c = chain("p"), chain("p"), chain("r")
+    assert a == b and not a != b
+    assert a != c and not a == c
+    assert render_string(a) == "( q -> " * 2000 + "p" + " )" * 2000
 
 
 class _CountingMemo(dict):

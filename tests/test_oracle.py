@@ -11,8 +11,8 @@ from plf import (
 )
 from plf.oracle import dump_derived, expression_universe, oracle_proofs, provable
 from plf.term import freeze_expression
-from helpers import assertion_multiset, expr, reference_saturate
-from record_saturations import corpus_digests, read_digests
+from helpers import assertion_multiset, expr, reference_saturate, saturation_digest
+from record_saturations import read_digests
 
 
 def test_hilbert_id_derived_at_17_tokens(hilbert):
@@ -153,11 +153,11 @@ def test_saturation_equals_reference_on_hilbert(hilbert, bounds):
     assert (sat == "overflow") == (bounds.universe_cap == 50)
 
 
-def test_saturation_equals_reference_on_corpus():
+def test_saturation_equals_reference_on_corpus(corpus_saturations):
     # tests/record_saturations.py records the reference's saturations
     found, outcomes = [], set()
-    for key, digest, s, sat in corpus_digests(saturate):
-        found.append((key, digest))
+    for key, _, s, sat in corpus_saturations:
+        found.append((key, saturation_digest(sat)))
         outcomes.add("overflow" if sat is None else s.goal in sat.derived)
     assert found == read_digests()
     assert outcomes == {True, False}

@@ -12,7 +12,7 @@ from plf import (
 )
 from plf.grammar import Var
 from plf.system import FreshSupply, rename_assertion
-from plf.term import replaceable_variables, variables_of
+from plf.term import variables_of
 from conftest import HILBERT_PLS
 
 
@@ -26,13 +26,13 @@ def test_load_hilbert(hilbert):
 
 def test_statement_variables_frozen(hilbert):
     s = hilbert.statement("id")
-    assert replaceable_variables(s.goal) == set()
+    assert {v for v in variables_of(s.goal) if v.replaceable} == set()
     assert {v.name for v in variables_of(s.goal)} == {"p"}
 
 
 def test_assertion_variables_replaceable(hilbert):
     a1 = hilbert.assertion("A1")
-    assert {v.name for v in replaceable_variables(a1.proposition)} == {"ph", "ps"}
+    assert {v.name for v in variables_of(a1.proposition) if v.replaceable} == {"ph", "ps"}
 
 
 def test_truncated_expression():

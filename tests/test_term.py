@@ -12,7 +12,6 @@ from plf.term import (
     compose,
     freeze_expression,
     match_expression,
-    replaceable_variables,
     restrict,
     _unify_pairs,
     substitution_text,
@@ -152,7 +151,7 @@ def test_match_uniqueness_by_enumeration(hilbert):
         target_sub = Substitution(
             {
                 v: random_expression(rng, g, v.kind.name, 5, ground)
-                for v in replaceable_variables(pattern)
+                for v in variables_of(pattern) if v.replaceable
             }
         )
         target = apply(target_sub, pattern)
@@ -164,7 +163,7 @@ def test_match_uniqueness_by_enumeration(hilbert):
 
 def _enumerate_matches(pattern, target):
     """Brute force: try every map from pattern variables to target subterms."""
-    pvars = sorted(replaceable_variables(pattern), key=lambda v: v.name)
+    pvars = sorted({v for v in variables_of(pattern) if v.replaceable}, key=lambda v: v.name)
     subterms = []
 
     def collect(e):
@@ -504,7 +503,12 @@ def test_variables_of(hilbert):
     e = expr(hilbert, "( ph -> ( p -> ph ) )")
     assert {v.name for v in variables_of(e)} == {"ph", "p"}
     frozen = freeze_expression(e)
-    assert replaceable_variables(frozen) == set()
+    assert {v for v in variables_of(frozen) if v.replaceable} == set()
+    # a frozen twin does not hide a replaceable occurrence, in either order
+    (imp,) = [p for p in hilbert.grammar.productions if p.id == "imp"]
+    (ph,) = [v for v in variables_of(e) if v.name == "ph"]
+    for mixed in (Apply(imp, (freeze_expression(ph), ph)), Apply(imp, (ph, freeze_expression(ph)))):
+        assert [v.replaceable for v in variables_of(mixed)] == [True]
 
 
 def test_freeze_deep_goal_without_recursion():
@@ -518,15 +522,12 @@ def test_freeze_deep_goal_without_recursion():
     built = g.variable("p")
     for _ in range(depth):
         built = Apply(imp, (g.variable("q"), built))
-    # Apply.__eq__ recurses once per level, so compare level by level
     goal = d.statement("deep").goal
+    assert goal == built
     for _ in range(depth):
-        assert hash(goal) == hash(built) and not goal.open
-        assert goal.production == built.production
-        assert goal.children[0] == built.children[0]
-        assert not goal.children[0].replaceable
-        goal, built = goal.children[1], built.children[1]
-    assert goal == built and not goal.replaceable
+        assert not goal.open and not goal.children[0].replaceable
+        goal = goal.children[1]
+    assert not goal.replaceable
 
 
 def test_freeze_returns_closed_subterms_unchanged(hilbert):
