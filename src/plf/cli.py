@@ -150,8 +150,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (FrameworkError, OSError, RecursionError) as exc:
-        # RecursionError: what still recurses once per nesting level is `apply`
-        # on a deep pattern and the search's certificate propagation
+        # RecursionError: `apply` still recurses once per level of a deep pattern
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,8 +24,11 @@ certificate is crossed against the already-present certificates of the other
 children, so every tuple is tested at most once.  A rule node that is full
 after the certificate cap has tripped crosses no more tuples, since none of
 them could add a certificate; ``tuples_tested`` counts only the tuples
-crossed.  Expansion is FIFO over goal creation, which keeps the search fair
-within its limits.
+crossed.  Propagation keeps one explicit stack of crossings: a crossing is
+suspended at each rule certificate it yields until that certificate has
+finished climbing, which is the depth-first order of recursion without its
+depth limit.  Expansion is FIFO over goal creation, which keeps the search
+fair within its limits.
 """
 
 from __future__ import annotations
@@ -242,7 +245,7 @@ def seed_leaf_spts(state: SearchState, goal_id: int) -> list:
         if cid is None:
             continue
         created.append(cid)
-        _after_goal_cert(state, goal_id, cid)
+        propagate_anode(state, cid)
         if state.proved is not None:
             break
     return created
@@ -273,7 +276,7 @@ def expand_enode(state: SearchState, goal_id: int) -> list:
             label = restrict(theta, goal.scope)  # com of the empty tuple set is empty
             cid = state._add_cert(rid, True, label, ())
             if cid is not None:
-                propagate_enode(state, goal_id, cid)
+                propagate_anode(state, cid)
             continue
         kids = [state._new_goal(apply(theta, p), goal.depth + 1, rid) for p in renamed.premises]
         state.rules[rid].children = kids
@@ -285,11 +288,42 @@ def expand_enode(state: SearchState, goal_id: int) -> list:
     return created
 
 
-def propagate_anode(state: SearchState, rule_id: int, trigger: int) -> list:
+def propagate_anode(state: SearchState, cert_id: int) -> None:
+    """Carry a new certificate up the tree: a rule certificate is lifted to
+    its parent goal, the label restricted to the goal's replaceable
+    variables, and a goal certificate is crossed at its parent rule node.
+    Reaching the root proves the statement; after that, or once a limit
+    trips, no suspended crossing is resumed."""
+    crossings = []
+    new = cert_id
+    while True:
+        if new is not None:
+            cert = state.certs[new]
+            if cert.at_rule:
+                goal_id = state.rules[cert.node].parent
+                label = restrict(cert.label, state.goals[goal_id].scope)
+                new = state._add_cert(goal_id, False, label, (new,))
+                continue
+            if state.self_check:
+                _validate_certificate(state, cert.node, new)
+            if cert.node == state.root:
+                state.proved = new
+                state._emit(f"PROVED e{state.root}")
+                return
+            crossings.append(_cross(state, state.goals[cert.node].parent, new))
+        elif state.limit_hit is not None or not crossings:
+            return
+        new = next(crossings[-1], None)
+        if new is None:
+            crossings.pop()
+
+
+def _cross(state: SearchState, rule_id: int, trigger: int):
     """Cross a fresh child certificate against the existing certificates of
     the rule's other children; every tuple whose substitutions unify becomes
-    a certificate of the rule node.  The deadline is checked before each
-    tuple, since one crossing can outlast many goal expansions.
+    a certificate of the rule node, which is yielded.  The deadline is
+    checked before each tuple, since one crossing can outlast many goal
+    expansions.
 
     Once the cap has tripped and this node holds ``max_spts_per_node``
     certificates, every further tuple would be a duplicate or be rejected by
@@ -304,13 +338,12 @@ def propagate_anode(state: SearchState, rule_id: int, trigger: int) -> list:
     parent_scope = state.goals[rule.parent].scope
     edge = rule.edge_unifier
     cap = state.limits.max_spts_per_node
-    created = []
     for combo in product(*pools):
         if state.certs_capped and len(rule.certs) >= cap:
-            break  # the node can fill partway through the product
+            return  # the node can fill partway through the product
         if time.monotonic() > state.deadline:
             state.limit_hit = "timeout"
-            break
+            return
         state.stats.tuples_tested += 1
         outcome = unify_substitutions([state.certs[c].label for c in combo])
         if outcome is None:
@@ -320,38 +353,8 @@ def propagate_anode(state: SearchState, rule_id: int, trigger: int) -> list:
         # restrict(compose(com, edge), parent_scope), built over the scope only
         label = Substitution({v: apply(com, apply(edge, v)) for v in parent_scope})
         cid = state._add_cert(rule_id, True, label, combo, com, delta)
-        if cid is None:
-            continue
-        created.append(cid)
-        propagate_enode(state, rule.parent, cid)
-        if state.proved is not None:
-            break
-    return created
-
-
-def propagate_enode(state: SearchState, goal_id: int, trigger: int) -> Optional[int]:
-    """Lift a rule certificate to the rule's parent goal, restricting the
-    label to the goal's own replaceable variables; reaching the root proves
-    the statement."""
-    goal = state.goals[goal_id]
-    label = restrict(state.certs[trigger].label, goal.scope)
-    cid = state._add_cert(goal_id, False, label, (trigger,))
-    if cid is None:
-        return None
-    _after_goal_cert(state, goal_id, cid)
-    return cid
-
-
-def _after_goal_cert(state: SearchState, goal_id: int, cert_id: int):
-    if state.self_check:
-        _validate_certificate(state, goal_id, cert_id)
-    if goal_id == state.root:
-        if state.proved is None:
-            state.proved = cert_id
-            state._emit(f"PROVED e{state.root}")
-        return
-    parent = state.goals[goal_id].parent
-    propagate_anode(state, parent, cert_id)
+        if cid is not None:
+            yield cid
 
 
 def _validate_certificate(state, goal_id, cert_id):
@@ -370,26 +373,33 @@ def extract_proof(state: SearchState, cert_id: int) -> ProofNode:
     The reconciling delta recorded at each rule certificate applies to the
     whole subtree beneath it, so an accumulator composes them along the path
     from the root.  Witnesses are mapped back onto the assertion's original
-    variables, which is what proof files and the checker speak.
+    variables, which is what proof files and the checker speak.  The walk
+    keeps its own stack, and the tree is built in reverse preorder.
     """
-
-    def walk(cid, acc):
+    steps = []  # preorder: (expression, assertion id or None, witness, premise count)
+    stack = [(cert_id, EMPTY)]
+    while stack:
+        cid, acc = stack.pop()
         cert = state.certs[cid]
-        goal = state.goals[cert.node]
-        expr = apply(compose(acc, cert.label), goal.expression)
+        expr = apply(compose(acc, cert.label), state.goals[cert.node].expression)
         if not cert.children:
-            return ProofNode(expr)
+            steps.append((expr, None, None, 0))
+            continue
         rule_cert = state.certs[cert.children[0]]
         rule = state.rules[rule_cert.node]
         full = compose(acc, compose(rule_cert.com, rule.edge_unifier))
-        witness = Substitution(
-            {orig: apply(full, fresh) for orig, fresh in rule.rename.items()}
-        )
+        witness = Substitution({orig: apply(full, fresh) for orig, fresh in rule.rename.items()})
+        steps.append((expr, rule.assertion.id, witness, len(rule_cert.children)))
         child_acc = compose(acc, rule_cert.delta)
-        kids = tuple(walk(k, child_acc) for k in rule_cert.children)
-        return ProofNode(expr, Inference(rule.assertion.id, witness, kids))
-
-    return walk(cert_id, EMPTY)
+        stack.extend((k, child_acc) for k in reversed(rule_cert.children))
+    done = []  # built subtrees; in reverse preorder the first child is on top
+    for expr, assertion_id, witness, n in reversed(steps):
+        if assertion_id is None:
+            done.append(ProofNode(expr))
+        else:
+            kids = tuple(done.pop() for _ in range(n))
+            done.append(ProofNode(expr, Inference(assertion_id, witness, kids)))
+    return done[0]
 
 
 def run(state: SearchState, limits: SearchLimits) -> SearchOutcome:

@@ -385,16 +385,16 @@ def reference_saturate(d, s, b):
 
 # -- reference crossing ------------------------------------------------------
 # The rule-node crossing the search used before it stopped at a full node
-# whose certificate cap had tripped: it tests every tuple of the product.
-# Kept only as the oracle of the differential tests in test_search.py, which
-# monkeypatch it over plf.search.propagate_anode.
+# whose certificate cap had tripped: it tests every tuple of the product and
+# yields each new rule certificate.  Kept only as the oracle of the
+# differential tests in test_search.py, which monkeypatch it over the
+# search's crossing, plf.search._cross.
 
 
 def reference_propagate_anode(state, rule_id, trigger):
     import time
     from itertools import product
 
-    import plf.search
     from plf.term import apply, unify_substitutions
 
     rule = state.rules[rule_id]
@@ -405,11 +405,10 @@ def reference_propagate_anode(state, rule_id, trigger):
     ]
     parent_scope = state.goals[rule.parent].scope
     edge = rule.edge_unifier
-    created = []
     for combo in product(*pools):
         if time.monotonic() > state.deadline:
             state.limit_hit = "timeout"
-            break
+            return
         state.stats.tuples_tested += 1
         outcome = unify_substitutions([state.certs[c].label for c in combo])
         if outcome is None:
@@ -418,22 +417,8 @@ def reference_propagate_anode(state, rule_id, trigger):
         delta, com = outcome
         label = Substitution({v: apply(com, apply(edge, v)) for v in parent_scope})
         cid = state._add_cert(rule_id, True, label, combo, com, delta)
-        if cid is None:
-            continue
-        created.append(cid)
-        plf.search.propagate_enode(state, rule.parent, cid)
-        if state.proved is not None:
-            break
-    return created
-
-
-def _term_text(e):
-    """Structural text of an expression, equal exactly when the expressions
-    compare equal (a variable's replaceable flag is not part of either)."""
-    if isinstance(e, Var):
-        return f"{e.name}:{e.kind.name}"
-    kids = "".join(" " + _term_text(c) for c in e.children)
-    return f"({e.production.id}:{e.production.result_kind.name}{kids})"
+        if cid is not None:
+            yield cid
 
 
 def saturation_digest(sat):
@@ -444,14 +429,29 @@ def saturation_digest(sat):
 
     if sat is None:
         return "overflow"
+    memo = {}  # subterm -> its text; both == and the text ignore the replaceable flag
+
+    def text(e):
+        """Structural text of an expression, equal exactly when the
+        expressions compare equal."""
+        out = memo.get(e)
+        if out is None:
+            if isinstance(e, Var):
+                out = f"{e.name}:{e.kind.name}"
+            else:
+                kids = "".join(" " + text(c) for c in e.children)
+                out = f"({e.production.id}:{e.production.result_kind.name}{kids})"
+            memo[e] = out
+        return out
+
     lines = [f"rounds_run {sat.rounds_run}"]
-    lines += [f"derived {_term_text(e)} {rnd}" for e, rnd in sat.derived.items()]
+    lines += [f"derived {text(e)} {rnd}" for e, rnd in sat.derived.items()]
     for conclusion, entries in sat.justifications.items():
-        lines.append(f"justified {_term_text(conclusion)}")
+        lines.append(f"justified {text(conclusion)}")
         for j in entries:
-            witness = " ".join(f"{_term_text(v)}:={_term_text(img)}" for v, img in j.witness.items())
-            premises = " ".join(_term_text(p) for p in j.premises)
+            witness = " ".join(f"{text(v)}:={text(img)}" for v, img in j.witness.items())
+            premises = " ".join(text(p) for p in j.premises)
             lines.append(f"  by {j.assertion_id} {{{witness}}} from [{premises}]")
     for kind, members in sat.universe.items():
-        lines.append(f"universe {kind} " + " ".join(_term_text(e) for e in members))
+        lines.append(f"universe {kind} " + " ".join(text(e) for e in members))
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:24]

@@ -226,6 +226,36 @@ def test_verify_deeply_nested_violation_reports_its_path(tmp_path):
     ]
 
 
+NAT_PLS = """\
+kind nat
+kind wff
+rule z : nat ::= "z"
+rule s : nat ::= "s" nat
+rule isnat : wff ::= "N" nat
+var x : nat
+axiom zero : => "N z"
+axiom succ : "N x" => "N s x"
+"""
+
+
+def test_prove_deep_successor_chain(tmp_path):
+    # 1,200 goal levels: certificate propagation and proof extraction keep
+    # their own stacks, so the search is not bounded by the recursion limit
+    system, proof = tmp_path / "nat.pls", tmp_path / "deep.plp"
+    system.write_text(NAT_PLS + 'statement deep : => "N' + " s" * 1200 + ' z"\n')
+    plf = [sys.executable, "-m", "plf"]
+    proc = subprocess.run(
+        [*plf, "prove", str(system), "--statement", "deep", "--max-depth", "2000", "-o", str(proof)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run(
+        [*plf, "verify", str(system), str(proof), "--statement", "deep"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "valid\n", "")
+
+
 def test_repeated_runs_byte_identical(hilbert_path, tmp_path):
     # full-process determinism, including statistics except wall time
     outputs = []

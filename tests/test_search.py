@@ -242,7 +242,7 @@ def _same_as_reference_crossing(monkeypatch, d, sid, limits):
     require the same record and no more tuples tested.  Returns both
     outcomes, the search's first."""
     with monkeypatch.context() as m:
-        m.setattr(plf.search, "propagate_anode", reference_propagate_anode)
+        m.setattr(plf.search, "_cross", reference_propagate_anode)
         ref_state = init_search(d, d.statement(sid))
         ref = run(ref_state, limits)
     state = init_search(d, d.statement(sid))
@@ -335,7 +335,7 @@ def test_propagation_clash_skipped():
         Substitution({g.variable("ph#0"): freeze_expression(expr(d, "q"))}),
         (),
     )
-    propagate_anode(state, mp.id, cid)
+    propagate_anode(state, cid)
     assert state.stats.tuples_tested > tested_before
     assert len(mp.certs) == before
 
