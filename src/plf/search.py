@@ -29,6 +29,12 @@ suspended at each rule certificate it yields until that certificate has
 finished climbing, which is the depth-first order of recursion without its
 depth limit.  Expansion is FIFO over goal creation, which keeps the search
 fair within its limits.
+
+Expansion is by lookup: most goals are variants of an earlier goal of the
+same search (equal up to renaming replaceable variables).  The first of a
+class expanded over every assertion records the rule node each assertion
+gave; a later variant maps those nodes through one bijective renaming, which
+unification, seeing names only through ``==``, cannot tell from unifying.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Optional, Union
 
-from .grammar import Expression
+from .grammar import Expression, Var
 from .proof import Inference, ProofNode, check_statement_proof
 from .system import Assertion, DeductiveSystem, FreshSupply, Statement, rename_assertion
 from .term import (
@@ -164,21 +170,19 @@ class SearchState:
         self.limit_hit: Optional[str] = None
         self.certs_capped = False
         self._cert_keys = {}  # (at_rule, node id) -> set of dedup keys
+        # variant key -> (first goal's replaceable variables, its rule node or None per assertion)
+        self.expansions = {}
 
         self.root = self._new_goal(statement.goal, depth=0, parent=None)
 
     # -- node and certificate construction --------------------------------
 
-    def _new_goal(self, expression, depth, parent) -> int:
+    def _new_goal(self, expression, depth, parent, scope=None) -> int:
+        if scope is None:
+            scope = frozenset(v for v in variables_of(expression) if v.replaceable)
         gid = self.stats.goal_nodes
         self.stats.goal_nodes += 1
-        self.goals[gid] = GoalNode(
-            gid,
-            expression,
-            depth,
-            parent,
-            frozenset(v for v in variables_of(expression) if v.replaceable),
-        )
+        self.goals[gid] = GoalNode(gid, expression, depth, parent, scope)
         return gid
 
     def _new_rule(self, assertion, rename, edge_unifier, parent) -> int:
@@ -212,10 +216,11 @@ class SearchState:
                 self.trace(f"SPT-LEAF {tag}")
         return cid
 
-    def _emit(self, *parts):
+    def _emit(self, template, *parts):
         """One trace line; the text is built only when a callback is set."""
         if self.trace is not None:
-            self.trace(" ".join(p if isinstance(p, str) else substitution_text(p) for p in parts))
+            texts = (substitution_text(p) if isinstance(p, Substitution) else p for p in parts)
+            self.trace(template.format(*texts))
 
 
 def init_search(
@@ -254,23 +259,36 @@ def seed_leaf_spts(state: SearchState, goal_id: int) -> list:
 def expand_enode(state: SearchState, goal_id: int) -> list:
     """Fork the goal with every assertion whose renamed proposition unifies
     with its expression; instantiate premises as child goals, seed them, and
-    schedule them FIFO."""
+    schedule them FIFO.  A goal whose variant class has been expanded in full
+    maps that expansion onto itself instead of renaming and unifying again."""
     goal = state.goals[goal_id]
-    state._emit(f"EXPAND e{goal_id}")
+    state._emit("EXPAND e{}", goal_id)
+    key, variables = _variant_key(goal.expression)
+    first = state.expansions.get(key)
+    record = []  # on a miss, per assertion: its rule node, or None
     created = []
-    for a in state.system.assertions:
+    for i, a in enumerate(state.system.assertions):
         if state.proved is not None or state.limit_hit is not None:
             break
-        renamed, rename = rename_assertion(a, state.supply)
-        theta = unify_expressions(renamed.proposition, goal.expression)
+        if first is None:
+            renamed, rename = rename_assertion(a, state.supply)
+            theta = unify_expressions(renamed.proposition, goal.expression)
+            scopes = [None] * len(renamed.premises)  # _new_goal works them out
+        else:
+            k = state.supply.take()
+            if first[1][i] is None:
+                continue
+            renamed, rename, theta, scopes = _rename_step(state, first[1][i], first[0], variables, k)
         if theta is None:
+            record.append(None)
             continue
         if state.stats.nodes + 1 + len(renamed.premises) > state.limits.max_nodes:
             state.limit_hit = "nodes"
             break
         rid = state._new_rule(renamed, rename, theta, goal_id)
+        record.append(rid)
         created.append(rid)
-        state._emit(f"ANODE a{rid}", a.id, theta)
+        state._emit("ANODE a{} {} {}", rid, a.id, theta)
         assert apply(theta, renamed.proposition) == apply(theta, goal.expression)
         if not renamed.premises:
             label = restrict(theta, goal.scope)  # com of the empty tuple set is empty
@@ -278,14 +296,54 @@ def expand_enode(state: SearchState, goal_id: int) -> list:
             if cid is not None:
                 propagate_anode(state, cid)
             continue
-        kids = [state._new_goal(apply(theta, p), goal.depth + 1, rid) for p in renamed.premises]
+        depth = goal.depth + 1
+        kids = [state._new_goal(apply(theta, p), depth, rid, sc) for p, sc in zip(renamed.premises, scopes)]
         state.rules[rid].children = kids
         for kid in kids:
             seed_leaf_spts(state, kid)
             if state.proved is not None:
                 break
         state.queue.extend(kids)
+    else:
+        if first is None:  # a cut-short expansion is not recorded
+            state.expansions[key] = (variables, record)
     return created
+
+
+def _variant_key(expression) -> tuple:
+    """The expression as a flat preorder tuple in which a replaceable
+    variable is (number by first occurrence, kind), so that variants share
+    it; and those variables in that order."""
+    if expression.__class__ is not Var and not expression.open:
+        return (expression,), []  # closed: the goal is its own class
+    key = []
+    order = {}
+    stack = [expression]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is Var:
+            key.append((order.setdefault(node, len(order)), node.kind) if node.replaceable else node)
+        elif node.open:
+            key.append(node.production.id)  # ids are unique within a grammar
+            stack.extend(reversed(node.children))
+        else:
+            key.append(node)
+    return tuple(key), list(order)
+
+
+def _rename_step(state, rule_id, first_variables, variables, k):
+    """Rule node ``rule_id`` of a variant, renamed onto this goal's variables
+    and fresh names stamped ``k`` at once: instance, renaming, unifier and
+    premise scopes.  An image that was the proposition stays shared."""
+    rule = state.rules[rule_id]
+    renamed, rename, theta = rule.assertion, rule.rename, rule.edge_unifier
+    fresh = {v: Var(f"{v.name}#{k}", v.kind, True) for v in rename}
+    rho = Substitution([*zip(first_variables, variables), *zip(rename.values(), fresh.values())])
+    prop = apply(rho, renamed.proposition)
+    images = {apply(rho, v): prop if t is renamed.proposition else apply(rho, t) for v, t in theta.items()}
+    assertion = Assertion(renamed.id, tuple(apply(rho, p) for p in renamed.premises), prop)
+    scopes = [frozenset(apply(rho, v) for v in state.goals[kid].scope) for kid in rule.children]
+    return assertion, fresh, Substitution(images), scopes
 
 
 def propagate_anode(state: SearchState, cert_id: int) -> None:
@@ -308,7 +366,7 @@ def propagate_anode(state: SearchState, cert_id: int) -> None:
                 _validate_certificate(state, cert.node, new)
             if cert.node == state.root:
                 state.proved = new
-                state._emit(f"PROVED e{state.root}")
+                state._emit("PROVED e{}", state.root)
                 return
             crossings.append(_cross(state, state.goals[cert.node].parent, new))
         elif state.limit_hit is not None or not crossings:

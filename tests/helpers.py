@@ -421,6 +421,55 @@ def reference_propagate_anode(state, rule_id, trigger):
             yield cid
 
 
+# -- reference expansion -----------------------------------------------------
+# Goal expansion as the search did it before it looked expansions up by
+# variant class: every goal renames every assertion afresh and unifies it.
+# Kept only as the oracle of the differential tests in test_search.py, which
+# monkeypatch it over plf.search.expand_enode.
+
+
+def reference_expand_enode(state, goal_id):
+    from plf.search import propagate_anode, seed_leaf_spts
+    from plf.system import rename_assertion
+    from plf.term import apply, restrict, substitution_text, unify_expressions, variables_of
+
+    goal = state.goals[goal_id]
+    if state.trace is not None:
+        state.trace(f"EXPAND e{goal_id}")
+    created = []
+    for a in state.system.assertions:
+        if state.proved is not None or state.limit_hit is not None:
+            break
+        renamed, rename = rename_assertion(a, state.supply)
+        theta = unify_expressions(renamed.proposition, goal.expression)
+        if theta is None:
+            continue
+        if state.stats.nodes + 1 + len(renamed.premises) > state.limits.max_nodes:
+            state.limit_hit = "nodes"
+            break
+        rid = state._new_rule(renamed, rename, theta, goal_id)
+        created.append(rid)
+        if state.trace is not None:
+            state.trace(f"ANODE a{rid} {a.id} {substitution_text(theta)}")
+        if not renamed.premises:
+            cid = state._add_cert(rid, True, restrict(theta, goal.scope), ())
+            if cid is not None:
+                propagate_anode(state, cid)
+            continue
+        kids = []
+        for p in renamed.premises:
+            e = apply(theta, p)
+            scope = frozenset(v for v in variables_of(e) if v.replaceable)
+            kids.append(state._new_goal(e, goal.depth + 1, rid, scope))
+        state.rules[rid].children = kids
+        for kid in kids:
+            seed_leaf_spts(state, kid)
+            if state.proved is not None:
+                break
+        state.queue.extend(kids)
+    return created
+
+
 def saturation_digest(sat):
     """Digest of everything a saturation decides, in order: derived facts
     with their rounds, every justification list (assertion, witness,

@@ -15,11 +15,18 @@ from plf import (
 )
 from plf.proof import proof_leaves, serialize_proof
 from plf.search import expand_enode, extract_proof, propagate_anode, seed_leaf_spts
-from plf.term import EMPTY, Substitution, apply, freeze_expression, unify_substitutions
+from plf.grammar import Apply, Var
+from plf.term import EMPTY, Substitution, apply, freeze_expression, unify_substitutions, variables_of
 from conftest import HILBERT_PLS
-from helpers import assertion_multiset, expr, reference_propagate_anode, sub
+from helpers import (
+    assertion_multiset,
+    expr,
+    reference_expand_enode,
+    reference_propagate_anode,
+    sub,
+)
 from randsys import corpus
-from test_acceptance import CORPUS_SEED
+from test_acceptance import CORPUS_SEED, SEARCH_LIMITS
 
 
 def fresh_state(d, sid, **kwargs):
@@ -272,6 +279,185 @@ def test_crossing_equals_reference_on_corpus(monkeypatch, cap):
             tested[1] += ref.stats.tuples_tested
     assert verdicts == {"Proved", "Exhausted", "LimitReached"}
     assert tested[0] < tested[1]  # the slice reaches a full node
+
+
+def _flagged(e):
+    """An expression in preorder with every variable's replaceable flag,
+    which both == and the rendered text ignore."""
+    out, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is Var:
+            out.append((node.name, node.kind.name, node.replaceable))
+        else:
+            out.append(node.production.id)
+            stack.extend(reversed(node.children))
+    return tuple(out)
+
+
+def _tree_record(state, lines):
+    """Every goal and rule node as built, the fresh-name counter and the
+    trace, flags included."""
+    goals = [
+        (_flagged(g.expression), g.depth, g.parent, sorted(map(_flagged, g.scope)), g.children)
+        for g in state.goals.values()
+    ]
+    rules = [
+        (
+            r.assertion.id,
+            [_flagged(e) for e in (*r.assertion.premises, r.assertion.proposition)],
+            [(_flagged(v), _flagged(w)) for v, w in r.rename.items()],
+            [(_flagged(v), _flagged(t)) for v, t in r.edge_unifier.items()],
+            r.parent,
+            r.children,
+        )
+        for r in state.rules.values()
+    ]
+    return goals, rules, state.supply.counter, lines
+
+
+def _same_as_reference_expansion(monkeypatch, d, sid, limits):
+    """Run the traced search with expansion by lookup and with the reference
+    expansion (rename and unify every assertion for every goal); require the
+    same search record, tree, fresh names and trace.  Returns the state and
+    outcome of expansion by lookup."""
+    runs = []
+    for patched in (True, False):
+        lines = []
+        with monkeypatch.context() as m:
+            if patched:
+                m.setattr(plf.search, "expand_enode", reference_expand_enode)
+            state = init_search(d, d.statement(sid), trace=lines.append)
+            out = run(state, limits)
+        runs.append((state, out, (_search_record(state, out), _tree_record(state, lines))))
+    assert runs[0][2] == runs[1][2]
+    assert runs[0][0].expansions == {}  # the reference does not look up
+    return runs[1][0], runs[1][1]
+
+
+@pytest.mark.parametrize("sid", ["syld", "imim1", "syl5"])
+def test_expansion_equals_reference_on_hard_hilbert(monkeypatch, sid):
+    limits = SearchLimits(max_depth=8, max_spts_per_node=20, timeout=600.0)
+    state, out = _same_as_reference_expansion(monkeypatch, HARD_HILBERT, sid, limits)
+    # 511 goal nodes of syld fall into 17 variant classes
+    assert 0 < len(state.expansions) < out.stats.goal_nodes / 10
+
+
+def test_expansion_equals_reference_on_corpus(monkeypatch):
+    verdicts = set()
+    for d in corpus(CORPUS_SEED, 40):
+        for s in d.statements:
+            _, out = _same_as_reference_expansion(monkeypatch, d, s.id, SEARCH_LIMITS)
+            verdicts.add(type(out).__name__)
+    assert verdicts == {"Proved", "Exhausted", "LimitReached"}
+
+
+NODE_SWEEP = load_system(HILBERT_PLS + 'statement syl : "( p -> q )" "( q -> r )" => "( p -> r )"\n')
+
+
+def test_node_limit_equals_reference(monkeypatch):
+    # an expansion cut short by the node limit is not recorded, and the limit
+    # trips at the same rule node whether the goal was looked up or not
+    cases = [(NODE_SWEEP, "id"), (NODE_SWEEP, "syl")]
+    cases += [(d, d.statements[0].id) for d in corpus(CORPUS_SEED, 6)]
+    tripped = 0
+    for d, sid in cases:
+        for n in range(1, 61):
+            limits = SearchLimits(max_depth=6, max_nodes=n, max_spts_per_node=120, timeout=600.0)
+            _, out = _same_as_reference_expansion(monkeypatch, d, sid, limits)
+            assert out.stats.nodes <= n
+            tripped += isinstance(out, LimitReached) and out.limit == "nodes"
+    assert tripped > 60
+
+
+def test_cut_short_expansion_is_not_recorded(hilbert):
+    # MP alone unifies with ( p -> p ) and needs three more nodes
+    state = fresh_state(hilbert, "id")
+    state.limits = SearchLimits(max_nodes=3)
+    assert expand_enode(state, state.root) == []
+    assert state.limit_hit == "nodes"
+    assert state.expansions == {}
+    state.limits = SearchLimits(max_nodes=4)
+    state.limit_hit = None
+    assert len(expand_enode(state, state.root)) == 1
+    assert len(state.expansions) == 1
+
+
+def _imp(left, right):
+    return Apply(expr(HARD_HILBERT, "( ph -> ps )").production, (left, right))
+
+
+def _key(e):
+    return plf.search._variant_key(e)[0]
+
+
+def test_variant_key_shared_by_goals_renamed_apart():
+    h = HARD_HILBERT
+    assert _key(expr(h, "( ph#3 -> ( ps#3 -> ph#3 ) )")) == _key(expr(h, "( ch#7 -> ( ph#9 -> ch#7 ) )"))
+    p = freeze_expression(expr(h, "p"))
+    assert _key(_imp(p, expr(h, "ph#3"))) == _key(_imp(p, expr(h, "ps#12")))
+    closed = freeze_expression(expr(h, "( p -> q )"))
+    assert _key(_imp(closed, expr(h, "ph#3"))) == _key(_imp(closed, expr(h, "ch#5")))
+    variables = plf.search._variant_key(expr(h, "( ps#3 -> ( ph#3 -> ps#3 ) )"))[1]
+    assert [v.name for v in variables] == ["ps#3", "ph#3"]
+
+
+def test_variant_key_tells_goals_apart():
+    h = HARD_HILBERT
+    frozen = freeze_expression
+    # a frozen variable
+    assert _key(_imp(frozen(expr(h, "p")), expr(h, "ph#3"))) != _key(
+        _imp(frozen(expr(h, "q")), expr(h, "ph#3"))
+    )
+    # sharing
+    assert _key(expr(h, "( ph#3 -> ph#3 )")) != _key(expr(h, "( ph#3 -> ps#3 )"))
+    # a frozen/replaceable twin, which == does not tell apart
+    assert frozen(expr(h, "( ph -> ph )")) == expr(h, "( ph -> ph )")
+    assert _key(frozen(expr(h, "( ph -> ph )"))) != _key(expr(h, "( ph -> ph )"))
+    assert _key(_imp(frozen(expr(h, "ph")), expr(h, "ph"))) != _key(expr(h, "( ph -> ph )"))
+    # a variable's kind
+    d = load_system(
+        'kind wff\nkind set\nkind class\ncoerce set into class\n'
+        'rule eq : wff ::= class "=" class\nvar x y : set\nvar A B : class\n'
+    )
+    assert _key(expr(d, "x#1 = y#1")) != _key(expr(d, "A#1 = B#1"))
+    assert _key(expr(d, "x#1 = y#1")) == _key(expr(d, "y#4 = x#2"))
+
+
+# Every assertion has a premise and the statement has none, so expanding
+# goals made by hand creates no certificate that would climb above them.
+NO_CERTS = load_system(
+    """\
+kind wff
+var ph ps ch p : wff
+rule imp : wff ::= "(" wff "->" wff ")"
+rule neg : wff ::= "-." wff
+axiom con : "( -. ps -> -. ph )" => "( ph -> ps )"
+axiom ax : "ph" "( ps -> ch )" => "( ph -> ( ps -> ch ) )"
+axiom mp : "ph" "( ph -> ps )" => "ps"
+statement s : => "( p -> p )"
+"""
+)
+
+
+def test_variant_hit_renames_simultaneously(monkeypatch):
+    # ( ph#3 -> ps#3 ) records its class, which ( ps#3 -> ph#3 ) then looks
+    # up: ph#3 and ps#3 swap, which renaming one after the other would merge
+    records = []
+    for expand in (reference_expand_enode, expand_enode):
+        lines = []
+        state = init_search(NO_CERTS, NO_CERTS.statement("s"), trace=lines.append)
+        state.limits = SearchLimits()
+        state.supply.counter = 4  # ph#3 and ps#3 are not fresh
+        for text in ("( ph#3 -> ps#3 )", "( ps#3 -> ph#3 )"):
+            e = expr(NO_CERTS, text)
+            expand(state, state._new_goal(e, 1, None, frozenset(variables_of(e))))
+        records.append(_tree_record(state, lines))
+    assert records[0] == records[1]
+    assert len(state.expansions) == 1
+    con = state.rules[3]  # con, ax, mp for each goal
+    assert con.assertion.id == "con"
+    assert render_string(state.goals[con.children[0]].expression) == "( -. ph#3 -> -. ps#3 )"
 
 
 def test_full_node_stops_crossing_on_syld():
