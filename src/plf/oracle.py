@@ -8,14 +8,18 @@ semi-naive, as in Datalog: an instance is visited only in the round after
 its last premise was derived, and premise variables are bound by matching
 the premises against the derived facts (a join) instead of trying every
 universe member.  The saturation is the one the exhaustive product over the
-universe gives, down to the order of every justification list.  The oracle
-has its own ground matcher and instantiation; it shares only the
-``Substitution`` witness type and ``variables_of`` with the kernel.
+universe gives, down to the order of every justification list.  A
+justification is kept as its assertion's plan and one pool index per
+variable; its witness ``Substitution`` and premise instances are built only
+when read, which only ``oracle_proofs`` does.  The oracle has its own ground
+matcher and instantiation; it shares only the ``Substitution`` witness type
+and ``variables_of`` with the kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import prod
 from typing import Optional, Sequence
@@ -43,19 +47,46 @@ class SaturationBounds:
     universe_cap: int = 20000
 
 
-@dataclass(frozen=True)
 class Justification:
-    assertion_id: str
-    witness: Substitution
-    premises: tuple
+    """One assertion instance that concludes an expression, stored as the
+    assertion's ``_Plan`` and its pool-index tuple.  ``witness`` and
+    ``premises`` are built on first read and kept.  Compares by identity."""
+
+    def __init__(self, plan, at: tuple):
+        self._plan, self._at = plan, at
+
+    @property
+    def assertion_id(self) -> str:
+        return self._plan.assertion.id
+
+    @cached_property
+    def witness(self) -> Substitution:
+        plan = self._plan
+        return Substitution((v, pool[i]) for v, pool, i in zip(plan.variables, plan.pools, self._at))
+
+    @cached_property
+    def premises(self) -> tuple:
+        return tuple(_ground(self._plan, p, self._at) for p in self._plan.assertion.premises)
 
 
 @dataclass
 class Saturation:
     derived: dict  # Expression -> first round it appeared in (premises at 0)
-    justifications: dict  # Expression -> list[Justification]
+    justifications: dict  # Expression -> list[Justification], witnesses built when read
     universe: dict  # kind name -> tuple[Expression, ...]
     rounds_run: int
+
+
+def _compositions(total: int, parts: int):
+    """Every way to write ``total`` as ``parts`` positive summands, in
+    lexicographic order."""
+    if parts == 1:
+        if total >= 1:
+            yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 def expression_universe(grammar, pool: Sequence[Var], max_tokens: int, cap: int) -> dict:
@@ -64,22 +95,6 @@ def expression_universe(grammar, pool: Sequence[Var], max_tokens: int, cap: int)
     structural = [p for p in grammar.productions if not p.is_coercion]
     by_len = [dict() for _ in range(max_tokens + 1)]  # length -> kind -> [expr]
     total = 0
-
-    def slot_options(kind_name: str, length: int):
-        accepted = grammar.kind(kind_name).accepts
-        out = []
-        for kname, exprs in by_len[length].items():
-            if kname in accepted:
-                out.extend(exprs)
-        return out
-
-    def compositions(total_len, parts):
-        if parts == 1:
-            yield (total_len,)
-            return
-        for first in range(1, total_len - parts + 2):
-            for rest in compositions(total_len - first, parts - 1):
-                yield (first,) + rest
 
     for length in range(1, max_tokens + 1):
         bucket = {}
@@ -103,11 +118,8 @@ def expression_universe(grammar, pool: Sequence[Var], max_tokens: int, cap: int)
                 if lits == length:
                     add(Apply(prod, ()))
                 continue
-            budget = length - lits
-            if budget < len(slots):
-                continue
-            for comp in compositions(budget, len(slots)):
-                pools = [slot_options(k, n) for k, n in zip(slots, comp)]
+            for comp in _compositions(length - lits, len(slots)):
+                pools = [_instance_pool(by_len[n], grammar.kind(k)) for k, n in zip(slots, comp)]
                 for kids in product(*pools):
                     add(Apply(prod, kids))
         by_len[length] = bucket
@@ -264,18 +276,14 @@ def saturate(d: DeductiveSystem, s: Statement, b: SaturationBounds) -> Saturatio
             if a.premises:
                 tuples = _new_tuples(plan, known, heads, delta, delta_heads)
             elif rnd == 1:  # the instance set is fixed; round 1 finds it all
-                tuples = _extend(plan, [None] * len(plan.variables), plan.conclusion_only)
+                tuples = map(tuple, _extend(plan, [None] * len(plan.variables), plan.conclusion_only))
             else:
                 continue
             for at in tuples:
                 conclusion = _ground(plan, a.proposition, at)
                 entry = justifications.setdefault(conclusion, [])
                 if len(entry) < _MAX_JUSTIFICATIONS_PER_EXPR:
-                    theta = Substitution(
-                        (v, pool[i]) for v, pool, i in zip(plan.variables, plan.pools, at)
-                    )
-                    instances = tuple(_ground(plan, p, at) for p in a.premises)
-                    entry.append(Justification(a.id, theta, instances))
+                    entry.append(Justification(plan, at))
                 if conclusion not in known and conclusion not in new:
                     new[conclusion] = rnd
         if not new:
@@ -327,29 +335,14 @@ def oracle_proofs(
                 if budget == 1:
                     out.append(ProofNode(expr, Inference(just.assertion_id, just.witness, ())))
                 continue
-            for split in _splits(just.premises, budget - 1, premises):
-                options = [build(p, c) for p, c in zip(just.premises, split)]
+            # a premise of the statement may take no transition, any other at least one
+            free = [p in premises for p in just.premises]
+            for split in _compositions(budget - 1 + sum(free), kids_needed):
+                options = [build(p, c - f) for p, c, f in zip(just.premises, split, free)]
                 for kids in product(*options):
                     out.append(ProofNode(expr, Inference(just.assertion_id, just.witness, kids)))
         memo[key] = out
         return out
-
-    def _splits(prem_instances, budget, premise_set):
-        mins = [0 if p in premise_set else 1 for p in prem_instances]
-
-        def rec(idx, left):
-            if idx == len(prem_instances) - 1:
-                if left >= mins[idx]:
-                    yield (left,)
-                return
-            upper = left - sum(mins[idx + 1 :])
-            for take in range(mins[idx], upper + 1):
-                for rest in rec(idx + 1, left - take):
-                    yield (take,) + rest
-
-        if budget < sum(mins):
-            return
-        yield from rec(0, budget)
 
     results = []
     for cost in range(0, max_transitions + 1):

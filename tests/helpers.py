@@ -321,19 +321,16 @@ def reference_parse_any_kind(g, tokens):
 
 
 # The saturation loop the oracle used before it became semi-naive: every
-# round instantiates every assertion with every tuple of universe members.
-# Kept only as the oracle of the differential tests in test_oracle.py.
+# round instantiates every assertion with every tuple of universe members,
+# and records each justification eagerly as an (assertion id, witness,
+# premise instances) triple.  Kept only as the oracle of the differential
+# tests in test_oracle.py.
 
 
 def reference_saturate(d, s, b):
     from itertools import product
 
-    from plf.oracle import (
-        Justification,
-        Saturation,
-        _instance_pool,
-        expression_universe,
-    )
+    from plf.oracle import Saturation, _instance_pool, expression_universe
     from plf.system import assertion_variables
     from plf.term import apply, variables_of
 
@@ -371,7 +368,7 @@ def reference_saturate(d, s, b):
                 if tag not in recorded:
                     entry = justifications.setdefault(conclusion, [])
                     if len(entry) < 64:
-                        entry.append(Justification(a.id, theta, instances))
+                        entry.append((a.id, theta, instances))
                         recorded.add(tag)
                 if conclusion not in known and conclusion not in new:
                     new[conclusion] = rnd
@@ -470,6 +467,17 @@ def reference_expand_enode(state, goal_id):
     return created
 
 
+def justification_triples(sat):
+    """Every justification list of ``sat`` as (conclusion, [(assertion id,
+    witness, premise instances), ...]) pairs, in order.  The reference
+    records triples already; the oracle's justifications are read here."""
+    return [
+        (conclusion, [j if isinstance(j, tuple) else (j.assertion_id, j.witness, j.premises)
+                      for j in entries])
+        for conclusion, entries in sat.justifications.items()
+    ]
+
+
 def saturation_digest(sat):
     """Digest of everything a saturation decides, in order: derived facts
     with their rounds, every justification list (assertion, witness,
@@ -495,12 +503,12 @@ def saturation_digest(sat):
 
     lines = [f"rounds_run {sat.rounds_run}"]
     lines += [f"derived {text(e)} {rnd}" for e, rnd in sat.derived.items()]
-    for conclusion, entries in sat.justifications.items():
+    for conclusion, entries in justification_triples(sat):
         lines.append(f"justified {text(conclusion)}")
-        for j in entries:
-            witness = " ".join(f"{text(v)}:={text(img)}" for v, img in j.witness.items())
-            premises = " ".join(text(p) for p in j.premises)
-            lines.append(f"  by {j.assertion_id} {{{witness}}} from [{premises}]")
+        for assertion_id, witness, premises in entries:
+            bindings = " ".join(f"{text(v)}:={text(img)}" for v, img in witness.items())
+            instances = " ".join(text(p) for p in premises)
+            lines.append(f"  by {assertion_id} {{{bindings}}} from [{instances}]")
     for kind, members in sat.universe.items():
         lines.append(f"universe {kind} " + " ".join(text(e) for e in members))
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:24]

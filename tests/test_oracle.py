@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+import plf.oracle
 from plf import (
     GoalNotDerivedError,
     SaturationBounds,
@@ -10,8 +13,15 @@ from plf import (
     saturate,
 )
 from plf.oracle import dump_derived, expression_universe, oracle_proofs, provable
-from plf.term import freeze_expression
-from helpers import assertion_multiset, expr, reference_saturate, saturation_digest
+from plf.proof import serialize_proof
+from plf.term import Substitution, freeze_expression
+from helpers import (
+    assertion_multiset,
+    expr,
+    justification_triples,
+    reference_saturate,
+    saturation_digest,
+)
 from record_saturations import read_digests
 
 
@@ -70,6 +80,36 @@ def test_oracle_proofs_include_five_step_id(hilbert):
     assert sizes == sorted(sizes)
 
 
+def test_oracle_proofs_match_the_eagerly_recorded_trees(hilbert):
+    # digest of the serialized proofs as oracle_proofs gave them when saturate
+    # still built every witness and premise instance eagerly
+    s = hilbert.statement("id")
+    proofs = oracle_proofs(hilbert, s, SaturationBounds(17, 5), s.goal, max_count=20)
+    text = "\n\n".join(serialize_proof(p) for p in proofs)
+    assert len(proofs) == 4
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:24] == "f27dfbb5b9543d0c6cdb7015"
+
+
+def test_saturate_builds_a_witness_only_when_read(hilbert, monkeypatch):
+    s = hilbert.statement("id")
+    bounds = SaturationBounds(17, 5)
+    expected = reference_saturate(hilbert, s, bounds).justifications[s.goal][0]
+    built = []
+
+    class Counted(Substitution):
+        def __init__(self, bindings=()):
+            super().__init__(bindings)
+            built.append(self)
+
+    monkeypatch.setattr(plf.oracle, "Substitution", Counted)
+    sat = saturate(hilbert, s, bounds)
+    assert built == []
+    just = sat.justifications[s.goal][0]
+    assert just.premises == expected[2] and built == []
+    assert just.witness == expected[1] and len(built) == 1
+    assert just.witness is built[0] and len(built) == 1
+
+
 def test_oracle_proof_of_premise_is_single_leaf():
     d = load_system(
         'kind wff\nvar p q : wff\nrule imp : wff ::= "(" wff "->" wff ")"\n'
@@ -78,6 +118,17 @@ def test_oracle_proof_of_premise_is_single_leaf():
     s = d.statement("s")
     proofs = oracle_proofs(d, s, SaturationBounds(5, 1), s.goal, max_count=3)
     assert proofs[0].inference is None
+
+
+def test_oracle_proof_takes_statement_premises_as_leaves():
+    d = load_system(
+        HILBERT_HEAD + 'axiom MP : "ph" "( ph -> ps )" => "ps"\nstatement s : "p" "( p -> q )" => "q"\n'
+    )
+    s = d.statement("s")
+    (proof,) = oracle_proofs(d, s, SaturationBounds(5, 2), s.goal, max_count=1)
+    assert proof.inference.assertion_id == "MP"
+    assert [c.inference for c in proof.inference.children] == [None, None]
+    assert check_statement_proof(d, s, proof) == []
 
 
 def test_oracle_goal_not_derived(hilbert):
@@ -123,8 +174,9 @@ def test_dump_derived_sorted(hilbert):
 
 def _assert_same_saturation(d, s, b):
     """Require the oracle and the reference to give the same saturation, in
-    every insertion order, or both to raise UniverseOverflowError.  Returns
-    the oracle's saturation, or "overflow"."""
+    every insertion order and down to each justification's (assertion,
+    witness, premises) triple, or both to raise UniverseOverflowError.
+    Returns the oracle's saturation, or "overflow"."""
     results, records = [], []
     for run in (saturate, reference_saturate):
         try:
@@ -136,7 +188,7 @@ def _assert_same_saturation(d, s, b):
         results.append(sat)
         records.append((
             list(sat.derived.items()),
-            list(sat.justifications.items()),
+            justification_triples(sat),
             list(sat.universe.items()),
             sat.rounds_run,
         ))
