@@ -109,6 +109,20 @@ def cmd_oracle(args) -> int:
     return 1
 
 
+def _limit(convert):
+    """An argparse type: ``convert`` of the text, refused when negative or
+    NaN, so that every limit the user sets can hold.  ``inf`` is allowed."""
+
+    def parse(text):
+        value = convert(text)
+        if not value >= 0:  # also true for NaN
+            raise argparse.ArgumentTypeError(f"must be a number >= 0, not {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="plf",
@@ -119,10 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
     prove = sub.add_parser("prove", help="search for a proof of a statement")
     prove.add_argument("system", help="path to a .pls system definition")
     prove.add_argument("--statement", required=True, help="statement id to prove")
-    prove.add_argument("--max-depth", type=int, default=8)
-    prove.add_argument("--max-nodes", type=int, default=100_000)
-    prove.add_argument("--max-spts-per-node", type=int, default=1000)
-    prove.add_argument("--timeout", type=float, default=60.0, help="seconds")
+    prove.add_argument("--max-depth", type=_limit(int), default=8)
+    prove.add_argument("--max-nodes", type=_limit(int), default=100_000)
+    prove.add_argument("--max-spts-per-node", type=_limit(int), default=1000)
+    prove.add_argument("--timeout", type=_limit(float), default=60.0, help="seconds")
     prove.add_argument("-o", "--output", help="write the .plp proof here")
     prove.add_argument("--trace", action="store_true", help="emit search events on stderr")
     prove.set_defaults(func=cmd_prove)
@@ -136,8 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="semi-naive forward saturation over a bounded universe")
     oracle.add_argument("system")
     oracle.add_argument("--statement", required=True)
-    oracle.add_argument("--max-size", type=int, default=17, help="universe token budget")
-    oracle.add_argument("--max-rounds", type=int, default=5)
+    oracle.add_argument("--max-size", type=_limit(int), default=17, help="universe token budget")
+    oracle.add_argument("--max-rounds", type=_limit(int), default=5)
     oracle.add_argument("--dump-derived", help="write derived expressions here, sorted")
     oracle.set_defaults(func=cmd_oracle)
 

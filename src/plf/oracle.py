@@ -8,7 +8,10 @@ semi-naive, as in Datalog: an instance is visited only in the round after
 its last premise was derived, and premise variables are bound by matching
 the premises against the derived facts (a join) instead of trying every
 universe member.  The saturation is the one the exhaustive product over the
-universe gives, down to the order of every justification list.  A
+universe gives, down to the order of every justification list.  Instances
+are grounded by builders each assertion's plan compiles once per pattern:
+a subterm over only some of the assertion's variables is built once per
+image of those variables and then shared (hash-consing, per plan).  A
 justification is kept as its assertion's plan and one pool index per
 variable; its witness ``Substitution`` and premise instances are built only
 when read, which only ``oracle_proofs`` does.  The oracle has its own ground
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import prod
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import GoalNotDerivedError, UniverseOverflowError
@@ -66,7 +70,7 @@ class Justification:
 
     @cached_property
     def premises(self) -> tuple:
-        return tuple(_ground(self._plan, p, self._at) for p in self._plan.assertion.premises)
+        return tuple(build(self._at) for build in self._plan.build_premises)
 
 
 @dataclass
@@ -144,8 +148,8 @@ _MAX_JUSTIFICATIONS_PER_EXPR = 64
 
 class _Plan:
     """One assertion prepared for saturation: its variables (sorted by name)
-    with their universe pools, and, per variable position, a map from pool
-    member to its first index there."""
+    with their universe pools; per variable position, a map from pool
+    member to its first index there; and a builder per pattern."""
 
     def __init__(self, a, universe):
         self.assertion = a
@@ -161,6 +165,8 @@ class _Plan:
         self.premise_slots = [sorted({self.slot[v] for v in variables_of(p)}) for p in a.premises]
         in_premises = {k for slots in self.premise_slots for k in slots}
         self.conclusion_only = [k for k in range(len(self.variables)) if k not in in_premises]
+        self.build_conclusion = _builder(self, a.proposition)
+        self.build_premises = [_builder(self, p) for p in a.premises]
 
 
 def _index(facts, heads):
@@ -194,14 +200,37 @@ def _match(plan, pattern, fact, env):
     return env
 
 
-def _ground(plan, pattern, env):
-    """``pattern`` with each variable replaced by its pool member in ``env``."""
+def _builder(plan, pattern):
+    """A function from a pool index per variable position to ``pattern``
+    with each variable replaced by its pool member there.  An open subterm
+    over a proper subset of the plan's variables builds each image once per
+    saturation, keyed on just those indices; one over all of them is built
+    afresh, as the rounds visit each instance once."""
     if pattern.__class__ is Var:
         k = plan.slot[pattern]
-        return plan.pools[k][env[k]]
+        pool = plan.pools[k]
+        return lambda env: pool[env[k]]
     if not pattern.open:
-        return pattern
-    return Apply(pattern.production, tuple(_ground(plan, c, env) for c in pattern.children))
+        return lambda env: pattern
+    production = pattern.production
+    kids = [_builder(plan, c) for c in pattern.children]
+
+    def build(env):
+        return Apply(production, tuple([kid(env) for kid in kids]))
+
+    slots = sorted({plan.slot[v] for v in variables_of(pattern)})
+    if len(slots) == len(plan.variables):
+        return build
+    key, memo = itemgetter(*slots), {}
+
+    def shared(env):
+        at = key(env)
+        image = memo.get(at)
+        if image is None:
+            image = memo[at] = build(env)
+        return image
+
+    return shared
 
 
 def _extend(plan, env, slots):
@@ -228,13 +257,13 @@ def _new_tuples(plan, known, heads, delta, delta_heads) -> list:
         bound = set()
         for j in [first] + [j for j in range(len(premises)) if j != first]:
             facts, index = (delta, delta_heads) if j == first else (known, heads)
-            pattern = premises[j]
+            pattern, build = premises[j], plan.build_premises[j]
             free = [k for k in plan.premise_slots[j] if k not in bound]
             bound.update(free)
             candidates = index.get(pattern.production.id if pattern.__class__ is Apply else None, ())
             if prod(len(plan.pools[k]) for k in free) < len(candidates):
                 envs = [e for env in envs for e in _extend(plan, env, free)
-                        if _ground(plan, pattern, e) in facts]
+                        if build(e) in facts]
             else:
                 envs = [e for env in envs for f in candidates
                         if (e := _match(plan, pattern, f, env)) is not None]
@@ -276,11 +305,11 @@ def saturate(d: DeductiveSystem, s: Statement, b: SaturationBounds) -> Saturatio
             if a.premises:
                 tuples = _new_tuples(plan, known, heads, delta, delta_heads)
             elif rnd == 1:  # the instance set is fixed; round 1 finds it all
-                tuples = map(tuple, _extend(plan, [None] * len(plan.variables), plan.conclusion_only))
+                tuples = product(*(range(len(pool)) for pool in plan.pools))
             else:
                 continue
             for at in tuples:
-                conclusion = _ground(plan, a.proposition, at)
+                conclusion = plan.build_conclusion(at)
                 entry = justifications.setdefault(conclusion, [])
                 if len(entry) < _MAX_JUSTIFICATIONS_PER_EXPR:
                     entry.append(Justification(plan, at))
@@ -294,10 +323,6 @@ def saturate(d: DeductiveSystem, s: Statement, b: SaturationBounds) -> Saturatio
         delta = new
 
     return Saturation(known, justifications, universe, rounds_run)
-
-
-def provable(d: DeductiveSystem, s: Statement, b: SaturationBounds) -> bool:
-    return s.goal in saturate(d, s, b).derived
 
 
 def oracle_proofs(

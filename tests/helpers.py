@@ -467,6 +467,21 @@ def reference_expand_enode(state, goal_id):
     return created
 
 
+# The grounding the oracle used before its plans compiled builders: every
+# instance rebuilt from the pattern, with no subterm shared.  Kept only as
+# the oracle of the builder differential in test_oracle.py.
+
+
+def reference_ground(plan, pattern, env):
+    """``pattern`` with each variable replaced by its pool member in ``env``."""
+    if isinstance(pattern, Var):
+        k = plan.slot[pattern]
+        return plan.pools[k][env[k]]
+    if not pattern.open:
+        return pattern
+    return Apply(pattern.production, tuple(reference_ground(plan, c, env) for c in pattern.children))
+
+
 def justification_triples(sat):
     """Every justification list of ``sat`` as (conclusion, [(assertion id,
     witness, premise instances), ...]) pairs, in order.  The reference

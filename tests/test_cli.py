@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from plf import load_system, parse_proof, serialize_proof
 from plf.cli import main
 from conftest import HILBERT_PLS
@@ -73,6 +75,44 @@ def test_prove_node_cap(hilbert_path, capsys):
 def test_prove_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "prove", str(tmp_path / "nope.pls"), "--statement", "id")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("prove", "--timeout", "nan"),  # a NaN deadline would never pass
+        ("prove", "--timeout", "-1"),
+        ("prove", "--max-depth", "-1"),
+        ("prove", "--max-nodes", "-1"),
+        ("prove", "--max-spts-per-node", "-5"),
+        ("oracle", "--max-size", "-3"),
+        ("oracle", "--max-rounds", "-1"),
+    ],
+)
+def test_negative_or_nan_limit_is_a_usage_error(hilbert_path, capsys, command, option, value):
+    with pytest.raises(SystemExit) as stop:
+        main([command, str(hilbert_path), "--statement", "id", f"{option}={value}"])
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        f"plf {command}: error: argument {option}: must be a number >= 0, not {value!r}"
+    ]
+
+
+def test_limit_that_is_no_number_names_its_type(hilbert_path, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["prove", str(hilbert_path), "--statement", "id", "--max-nodes", "x"])
+    assert stop.value.code == 2
+    assert "error: argument --max-nodes: invalid int value: 'x'" in capsys.readouterr().err
+
+
+def test_infinite_timeout_is_allowed(hilbert_path, capsys):
+    code, out, _ = run_cli(
+        capsys, "prove", str(hilbert_path), "--statement", "id",
+        "--max-depth", "6", "--timeout", "inf",
+    )
+    assert code == 0 and out.rstrip().endswith(")")
 
 
 def test_verify_corrupted_witness(hilbert_path, tmp_path, capsys):

@@ -1,4 +1,8 @@
+import gc
 import hashlib
+import random
+import weakref
+from pathlib import Path
 
 import pytest
 
@@ -12,31 +16,35 @@ from plf import (
     render_string,
     saturate,
 )
-from plf.oracle import dump_derived, expression_universe, oracle_proofs, provable
+from plf.grammar import Apply
+from plf.oracle import dump_derived, expression_universe, oracle_proofs
 from plf.proof import serialize_proof
 from plf.term import Substitution, freeze_expression
 from helpers import (
     assertion_multiset,
     expr,
     justification_triples,
+    reference_ground,
     reference_saturate,
     saturation_digest,
 )
+from randsys import corpus
 from record_saturations import read_digests
+from test_acceptance import CORPUS_SEED, ORACLE_BOUNDS
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_hilbert_id_derived_at_17_tokens(hilbert):
     s = hilbert.statement("id")
-    sat = saturate(hilbert, s, SaturationBounds(17, 5))
-    assert s.goal in sat.derived
-    assert provable(hilbert, s, SaturationBounds(17, 5))
+    assert s.goal in saturate(hilbert, s, SaturationBounds(17, 5)).derived
 
 
 def test_hilbert_id_not_derived_at_13_tokens(hilbert):
     # the shortest derivation of ( p -> p ) routes through a 17-token
     # substitution image, so a 13-token universe cannot reach it
     s = hilbert.statement("id")
-    assert not provable(hilbert, s, SaturationBounds(13, 5))
+    assert s.goal not in saturate(hilbert, s, SaturationBounds(13, 5)).derived
 
 
 def test_zero_assertions_zero_premises():
@@ -287,3 +295,140 @@ def test_justification_cap_is_reached_in_the_reference_order():
     ]
     # the cap of 64 falls inside round 3, among instances of round-2 facts
     assert len(rounds) == 64 and rounds.count(2) == 60
+
+
+# -- builders ------------------------------------------------------------------
+
+
+def _saturated_plans(monkeypatch, d, s, bounds):
+    """The plans ``saturate`` builds for ``s``, after it ran, so that their
+    memos hold what the saturation shared; none when the universe overflows."""
+    plans = []
+
+    class Recorded(plf.oracle._Plan):
+        def __init__(self, a, universe):
+            super().__init__(a, universe)
+            plans.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(plf.oracle, "_Plan", Recorded)
+        try:
+            saturate(d, s, bounds)
+        except UniverseOverflowError:
+            pass
+    return plans
+
+
+def _assert_builders_ground_like_the_reference(plan, rng, draws):
+    """Every builder of ``plan`` gives ``reference_ground``'s term on
+    ``draws`` random pool-index envs, as tuples and as lists (the join's
+    range path hands the premise builders lists)."""
+    if not all(plan.pools):
+        return 0
+    a = plan.assertion
+    for n in range(draws):
+        env = [rng.randrange(len(pool)) for pool in plan.pools]
+        env = tuple(env) if n % 2 else env
+        assert plan.build_conclusion(env) == reference_ground(plan, a.proposition, env)
+        for build, premise in zip(plan.build_premises, a.premises, strict=True):
+            assert build(env) == reference_ground(plan, premise, env)
+    return 1
+
+
+def test_builders_ground_like_the_reference_on_hilbert(monkeypatch):
+    d = load_system((DATA / "hilbert.pls").read_text(encoding="utf-8"))
+    plans = _saturated_plans(monkeypatch, d, d.statement("id"), SaturationBounds(17, 5))
+    rng = random.Random(20261018)
+    assert [p.assertion.id for p in plans] == ["A1", "A2", "MP"]
+    assert sum(_assert_builders_ground_like_the_reference(p, rng, 400) for p in plans) == 3
+
+
+def test_builders_ground_like_the_reference_on_the_corpus(monkeypatch):
+    bounds = SaturationBounds(**ORACLE_BOUNDS)
+    rng = random.Random(20261018)
+    checked = 0
+    for d in corpus(CORPUS_SEED, 40):
+        for s in d.statements:
+            for plan in _saturated_plans(monkeypatch, d, s, bounds):
+                checked += _assert_builders_ground_like_the_reference(plan, rng, 20)
+    assert checked > 300
+
+
+def test_builders_share_open_subterms_and_keep_closed_ones(monkeypatch):
+    d = load_system(
+        "kind wff\nkind class\nkind set\ncoerce set into class\n"
+        'rule c : wff ::= "c"\nrule imp : wff ::= "(" wff "->" wff ")"\n'
+        'rule el : wff ::= "(" class "e." class ")"\nrule sing : class ::= "{" class "}"\n'
+        'rule zero : set ::= "0"\nvar ph ps : wff\nvar A : class\nvar y : set\n'
+        'axiom dup : "ph" => "( ph -> ph )"\n'
+        'axiom t : "( ph -> ph )" => "( ( ph -> ph ) -> ( ( c -> c ) -> ( ps -> ( { A } e. 0 ) ) ) )"\n'
+        'statement s : "( y e. 0 )" => "c"\n'
+    )
+    s = d.statement("s")
+    bounds = SaturationBounds(5, 3)
+    sat = _assert_same_saturation(d, s, bounds)
+    assert any(j.assertion_id == "t" for js in sat.justifications.values() for j in js)
+    plan = next(p for p in _saturated_plans(monkeypatch, d, s, bounds) if p.assertion.id == "t")
+    assert [v.name for v in plan.variables] == ["A", "ph", "ps"]
+    # A ranges over a coerced pool: set members stand for classes
+    assert {e.kind.name for e in plan.pools[0]} == {"set", "class"}
+    rng = random.Random(20261018)
+    assert _assert_builders_ground_like_the_reference(plan, rng, 300) == 1
+
+    closed = plan.assertion.proposition.children[1].children[0]  # ( c -> c )
+    for n in range(50):
+        env = tuple(rng.randrange(len(pool)) for pool in plan.pools)
+        other = (rng.randrange(len(plan.pools[0])), env[1], rng.randrange(len(plan.pools[2])))
+        first, second = plan.build_conclusion(env), plan.build_conclusion(other)
+        # closed subterms, ( c -> c ) and the constant 0, are the pattern's own
+        assert first.children[1].children[0] is closed
+        assert first.children[1].children[1].children[1].children[1] is (
+            plan.assertion.proposition.children[1].children[1].children[1].children[1]
+        )
+        # ( ph -> ph ), over ph alone, is built once per image of ph
+        assert first.children[0] is second.children[0]
+        assert plan.build_premises[0](list(other)) == first.children[0]
+        # ( ps -> ( { A } e. 0 ) ), over A and ps, once per pair of images
+        assert first.children[1].children[1] is plan.build_conclusion(
+            (env[0], other[1], env[2])
+        ).children[1].children[1]
+
+
+def test_saturate_shares_subterms_over_some_of_the_variables(hilbert, monkeypatch):
+    s = hilbert.statement("id")
+    built = [0]
+    init = Apply.__init__
+
+    def counted(self, production, children):
+        built[0] += 1
+        init(self, production, children)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(plf.oracle.Apply, "__init__", counted)
+        sat = saturate(hilbert, s, SaturationBounds(17, 5))
+    # rebuilding every subterm of every instance took 74,910
+    assert built[0] <= 40_000 and len(sat.derived) == 12_704
+
+    # ( ph -> ps ) of A2's conclusions: one object per image of (ph, ps)
+    seen, repeats = {}, 0
+    for conclusion, entries in sat.justifications.items():
+        if any(j.assertion_id == "A2" for j in entries):
+            ph_ps = conclusion.children[1].children[0]
+            repeats += ph_ps in seen
+            assert seen.setdefault(ph_ps, ph_ps) is ph_ps
+    assert repeats > len(seen) > 1
+
+
+def test_builders_keep_no_subterm_over_every_variable(hilbert, monkeypatch):
+    # a term over all of a plan's variables is built for one instance only,
+    # so no memo may keep it alive
+    (a1,) = [
+        p for p in _saturated_plans(monkeypatch, hilbert, hilbert.statement("id"), SaturationBounds(9, 2))
+        if p.assertion.id == "A1"
+    ]
+    conclusion = a1.build_conclusion((0, 1))
+    inner = weakref.ref(conclusion.children[1])
+    outer = weakref.ref(conclusion)
+    del conclusion
+    gc.collect()
+    assert outer() is None and inner() is None
