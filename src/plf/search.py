@@ -7,24 +7,27 @@ Two interleaved passes over an AND-OR tree of goals:
   the instantiated premises become child goals.  Statement variables are
   frozen; fresh variables are fair game for unification.
 
-* Top-down (certification): a certificate attached to a node is a
-  substitution under which that node's expression becomes provable from the
-  statement's premises.  Leaves come from matching a goal against a premise
-  and from premise-less rule instances.  At a rule node, one certificate per
-  child premise is reconciled by unifying the certificate substitutions
-  themselves: the most general delta making them all agree yields a new
-  certificate for the parent, labelled with the common composite restricted
-  to the parent's replaceable variables.  The first certificate to reach the
-  root (whose variables are all frozen, so its label is empty) proves the
-  statement, and the proof it unfolds to is at least as general as any
-  congruent proof.
+* Top-down (certification): a certificate of a goal is a substitution
+  under which the goal's expression becomes provable from the statement's
+  premises.  Leaves come from matching a goal against a premise.  At a rule
+  node, one certificate per child premise is reconciled by unifying the
+  certificate substitutions themselves: the most general delta making them
+  all agree yields a certificate labelled with the common composite
+  restricted to the parent goal's replaceable variables.  That certificate
+  certifies the parent goal as it is, so the rule node and the goal hold the
+  same one.  The first certificate to reach the root (whose variables are
+  all frozen, so its label is empty) proves the statement, and the proof it
+  unfolds to is at least as general as any congruent proof.
 
 Tuples of sibling certificates are enumerated incrementally: each new
 certificate is crossed against the already-present certificates of the other
-children, so every tuple is tested at most once.  A rule node that is full
-after the certificate cap has tripped crosses no more tuples, since none of
-them could add a certificate; ``tuples_tested`` counts only the tuples
-crossed.  Propagation keeps one explicit stack of crossings: a crossing is
+children, so every tuple is tested at most once and yields at most one
+certificate; a premise-less rule node gets exactly one.  Only a premise leaf
+can repeat (a statement may list a premise twice), and seeding skips a label
+its goal already holds as a leaf.  A rule node that is full after the
+certificate cap has tripped crosses no more tuples, since none of them could
+add a certificate; ``tuples_tested`` counts only the tuples crossed.
+Propagation keeps one explicit stack of crossings: a crossing is
 suspended at each rule certificate it yields until that certificate has
 finished climbing, which is the depth-first order of recursion without its
 depth limit.  Expansion is FIFO over goal creation, which keeps the search
@@ -97,7 +100,6 @@ class SearchStats:
 @dataclass
 class Proved:
     proof: ProofNode
-    root_cert: int
     stats: SearchStats
 
 
@@ -140,10 +142,10 @@ class RuleNode:
 @dataclass(frozen=True)
 class Certificate:
     id: int
-    node: int
-    at_rule: bool
+    goal: int  # the goal node it certifies
+    rule: Optional[int]  # the rule node that derived it, None for a premise leaf
     label: Substitution
-    children: tuple
+    children: tuple  # one certificate per premise of the rule node
     # rule certificates remember how the child substitutions were reconciled;
     # the delta is replayed over the subtree at extraction time instead of
     # rewriting stored certificates eagerly.
@@ -169,7 +171,6 @@ class SearchState:
         self.proved: Optional[int] = None
         self.limit_hit: Optional[str] = None
         self.certs_capped = False
-        self._cert_keys = {}  # (at_rule, node id) -> set of dedup keys
         # variant key -> (first goal's replaceable variables, its rule node or None per assertion)
         self.expansions = {}
 
@@ -192,29 +193,32 @@ class SearchState:
         self.goals[parent].children.append(rid)
         return rid
 
-    def _add_cert(self, node_id, at_rule, label, children, com=EMPTY, delta=EMPTY):
-        holder = self.rules[node_id] if at_rule else self.goals[node_id]
-        key = (label, children)
-        keyset = self._cert_keys.setdefault((at_rule, node_id), set())
-        if key in keyset:
+    def _add_cert(self, goal_id, rule_id, label, children, com=EMPTY, delta=EMPTY):
+        """A certificate of the goal, held by the rule node that derived it or,
+        for a premise leaf (rule None), by the goal; None if the cap refuses."""
+        cert = Certificate(len(self.certs), goal_id, rule_id, label, children, com, delta)
+        if not self._hold(cert, rule_id is not None):
             return None
+        self.certs[cert.id] = cert
+        return cert.id
+
+    def _hold(self, cert, at_rule) -> bool:
+        """Put the certificate on its rule node's list or its goal's, unless
+        that node's cap is reached."""
+        holder = self.rules[cert.rule] if at_rule else self.goals[cert.goal]
         if len(holder.certs) >= self.limits.max_spts_per_node:
             self.certs_capped = True
-            return None
-        keyset.add(key)
-        cid = self.stats.certificates
+            return False
+        holder.certs.append(cert.id)
         self.stats.certificates += 1
-        cert = Certificate(cid, node_id, at_rule, label, children, com, delta)
-        self.certs[cid] = cert
-        holder.certs.append(cid)
         if self.trace is not None:
-            tag = f"{'a' if at_rule else 'e'}{node_id} {substitution_text(label)}"
-            if at_rule or children:
+            tag = f"{'a' if at_rule else 'e'}{holder.id} {substitution_text(cert.label)}"
+            if cert.rule is None:
+                self.trace(f"SPT-LEAF {tag}")
+            else:
                 stats = self.stats
                 self.trace(f"SPT {tag} tuples={stats.tuples_tested}/{stats.tuples_unified}")
-            else:
-                self.trace(f"SPT-LEAF {tag}")
-        return cid
+        return True
 
     def _emit(self, template, *parts):
         """One trace line; the text is built only when a callback is set."""
@@ -237,26 +241,26 @@ def init_search(
     return state
 
 
-def seed_leaf_spts(state: SearchState, goal_id: int) -> list:
+def seed_leaf_spts(state: SearchState, goal_id: int) -> None:
     """Match the goal expression against each statement premise; every match
-    yields a leaf certificate (the goal is trivially provable there)."""
+    yields a leaf certificate (the goal is trivially provable there), unless
+    the goal already holds a leaf with that label."""
     goal = state.goals[goal_id]
-    created = []
     for premise in state.statement.premises:
         sigma = match_expression(goal.expression, premise)
         if sigma is None:
             continue
-        cid = state._add_cert(goal_id, False, sigma, ())
+        if any(state.certs[c].rule is None and state.certs[c].label == sigma for c in goal.certs):
+            continue
+        cid = state._add_cert(goal_id, None, sigma, ())
         if cid is None:
             continue
-        created.append(cid)
         propagate_anode(state, cid)
         if state.proved is not None:
             break
-    return created
 
 
-def expand_enode(state: SearchState, goal_id: int) -> list:
+def expand_enode(state: SearchState, goal_id: int) -> None:
     """Fork the goal with every assertion whose renamed proposition unifies
     with its expression; instantiate premises as child goals, seed them, and
     schedule them FIFO.  A goal whose variant class has been expanded in full
@@ -266,7 +270,6 @@ def expand_enode(state: SearchState, goal_id: int) -> list:
     key, variables = _variant_key(goal.expression)
     first = state.expansions.get(key)
     record = []  # on a miss, per assertion: its rule node, or None
-    created = []
     for i, a in enumerate(state.system.assertions):
         if state.proved is not None or state.limit_hit is not None:
             break
@@ -287,12 +290,11 @@ def expand_enode(state: SearchState, goal_id: int) -> list:
             break
         rid = state._new_rule(renamed, rename, theta, goal_id)
         record.append(rid)
-        created.append(rid)
         state._emit("ANODE a{} {} {}", rid, a.id, theta)
         assert apply(theta, renamed.proposition) == apply(theta, goal.expression)
         if not renamed.premises:
             label = restrict(theta, goal.scope)  # com of the empty tuple set is empty
-            cid = state._add_cert(rid, True, label, ())
+            cid = state._add_cert(goal_id, rid, label, ())
             if cid is not None:
                 propagate_anode(state, cid)
             continue
@@ -307,7 +309,6 @@ def expand_enode(state: SearchState, goal_id: int) -> list:
     else:
         if first is None:  # a cut-short expansion is not recorded
             state.expansions[key] = (variables, record)
-    return created
 
 
 def _variant_key(expression) -> tuple:
@@ -347,28 +348,26 @@ def _rename_step(state, rule_id, first_variables, variables, k):
 
 
 def propagate_anode(state: SearchState, cert_id: int) -> None:
-    """Carry a new certificate up the tree: a rule certificate is lifted to
-    its parent goal, the label restricted to the goal's replaceable
-    variables, and a goal certificate is crossed at its parent rule node.
-    Reaching the root proves the statement; after that, or once a limit
-    trips, no suspended crossing is resumed."""
+    """Carry a new certificate up the tree: one derived at a rule node is
+    put on its goal's list too, unless the goal is full, and a goal's new
+    certificate is crossed at the goal's parent rule node.  Reaching the
+    root proves the statement; after that, or once a limit trips, no
+    suspended crossing is resumed."""
     crossings = []
     new = cert_id
     while True:
         if new is not None:
             cert = state.certs[new]
-            if cert.at_rule:
-                goal_id = state.rules[cert.node].parent
-                label = restrict(cert.label, state.goals[goal_id].scope)
-                new = state._add_cert(goal_id, False, label, (new,))
+            if cert.rule is not None and not state._hold(cert, False):
+                new = None
                 continue
             if state.self_check:
-                _validate_certificate(state, cert.node, new)
-            if cert.node == state.root:
+                _validate_certificate(state, new)
+            if cert.goal == state.root:
                 state.proved = new
                 state._emit("PROVED e{}", state.root)
                 return
-            crossings.append(_cross(state, state.goals[cert.node].parent, new))
+            crossings.append(_cross(state, state.goals[cert.goal].parent, new))
         elif state.limit_hit is not None or not crossings:
             return
         new = next(crossings[-1], None)
@@ -384,13 +383,13 @@ def _cross(state: SearchState, rule_id: int, trigger: int):
     expansions.
 
     Once the cap has tripped and this node holds ``max_spts_per_node``
-    certificates, every further tuple would be a duplicate or be rejected by
-    the cap, which changes nothing, so the crossing stops there: each tuple
-    is tested at most once, and ``tuples_tested`` counts only those crossed."""
+    certificates, every further tuple would be rejected by the cap, which
+    changes nothing, so the crossing stops there: each tuple is tested at
+    most once, and ``tuples_tested`` counts only those crossed."""
     rule = state.rules[rule_id]
-    trig_node = state.certs[trigger].node
+    trig_goal = state.certs[trigger].goal
     pools = [
-        (trigger,) if child == trig_node else state.goals[child].certs
+        (trigger,) if child == trig_goal else state.goals[child].certs
         for child in rule.children
     ]
     parent_scope = state.goals[rule.parent].scope
@@ -410,15 +409,16 @@ def _cross(state: SearchState, rule_id: int, trigger: int):
         delta, com = outcome
         # restrict(compose(com, edge), parent_scope), built over the scope only
         label = Substitution({v: apply(com, apply(edge, v)) for v in parent_scope})
-        cid = state._add_cert(rule_id, True, label, combo, com, delta)
+        cid = state._add_cert(rule.parent, rule_id, label, combo, com, delta)
         if cid is not None:
             yield cid
 
 
-def _validate_certificate(state, goal_id, cert_id):
+def _validate_certificate(state, cert_id):
     """The certificate must unfold to a proof of the certified instance of
-    the goal from the statement's premises."""
-    instance = apply(state.certs[cert_id].label, state.goals[goal_id].expression)
+    its goal from the statement's premises."""
+    cert = state.certs[cert_id]
+    instance = apply(cert.label, state.goals[cert.goal].expression)
     claim = Statement(state.statement.id, state.statement.premises, instance)
     problems = check_statement_proof(state.system, claim, extract_proof(state, cert_id))
     if problems:
@@ -426,9 +426,9 @@ def _validate_certificate(state, goal_id, cert_id):
 
 
 def extract_proof(state: SearchState, cert_id: int) -> ProofNode:
-    """Unfold a goal certificate into the proof tree it denotes.
+    """Unfold a certificate into the proof tree it denotes.
 
-    The reconciling delta recorded at each rule certificate applies to the
+    The reconciling delta recorded at each derived certificate applies to the
     whole subtree beneath it, so an accumulator composes them along the path
     from the root.  Witnesses are mapped back onto the assertion's original
     variables, which is what proof files and the checker speak.  The walk
@@ -439,17 +439,16 @@ def extract_proof(state: SearchState, cert_id: int) -> ProofNode:
     while stack:
         cid, acc = stack.pop()
         cert = state.certs[cid]
-        expr = apply(compose(acc, cert.label), state.goals[cert.node].expression)
-        if not cert.children:
+        expr = apply(compose(acc, cert.label), state.goals[cert.goal].expression)
+        if cert.rule is None:
             steps.append((expr, None, None, 0))
             continue
-        rule_cert = state.certs[cert.children[0]]
-        rule = state.rules[rule_cert.node]
-        full = compose(acc, compose(rule_cert.com, rule.edge_unifier))
+        rule = state.rules[cert.rule]
+        full = compose(acc, compose(cert.com, rule.edge_unifier))
         witness = Substitution({orig: apply(full, fresh) for orig, fresh in rule.rename.items()})
-        steps.append((expr, rule.assertion.id, witness, len(rule_cert.children)))
-        child_acc = compose(acc, rule_cert.delta)
-        stack.extend((k, child_acc) for k in reversed(rule_cert.children))
+        steps.append((expr, rule.assertion.id, witness, len(cert.children)))
+        child_acc = compose(acc, cert.delta)
+        stack.extend((k, child_acc) for k in reversed(cert.children))
     done = []  # built subtrees; in reverse preorder the first child is on top
     for expr, assertion_id, witness, n in reversed(steps):
         if assertion_id is None:
@@ -471,13 +470,13 @@ def run(state: SearchState, limits: SearchLimits) -> SearchOutcome:
         state.stats.wall_time = time.monotonic() - started
         return outcome
 
-    seed_leaf_spts(state, state.root)  # a no-op after the first call: certificates dedup
+    seed_leaf_spts(state, state.root)  # a no-op after the first call: leaves are not repeated
 
     depth_capped = False
     while True:
         if state.proved is not None:
             proof = extract_proof(state, state.proved)
-            return finish(Proved(proof, state.proved, state.stats))
+            return finish(Proved(proof, state.stats))
         if state.limit_hit is not None:
             return finish(LimitReached(state.limit_hit, state.stats))
         if time.monotonic() > state.deadline:

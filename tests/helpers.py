@@ -395,9 +395,9 @@ def reference_propagate_anode(state, rule_id, trigger):
     from plf.term import apply, unify_substitutions
 
     rule = state.rules[rule_id]
-    trig_node = state.certs[trigger].node
+    trig_goal = state.certs[trigger].goal
     pools = [
-        (trigger,) if child == trig_node else state.goals[child].certs
+        (trigger,) if child == trig_goal else state.goals[child].certs
         for child in rule.children
     ]
     parent_scope = state.goals[rule.parent].scope
@@ -413,7 +413,7 @@ def reference_propagate_anode(state, rule_id, trigger):
         state.stats.tuples_unified += 1
         delta, com = outcome
         label = Substitution({v: apply(com, apply(edge, v)) for v in parent_scope})
-        cid = state._add_cert(rule_id, True, label, combo, com, delta)
+        cid = state._add_cert(rule.parent, rule_id, label, combo, com, delta)
         if cid is not None:
             yield cid
 
@@ -433,7 +433,6 @@ def reference_expand_enode(state, goal_id):
     goal = state.goals[goal_id]
     if state.trace is not None:
         state.trace(f"EXPAND e{goal_id}")
-    created = []
     for a in state.system.assertions:
         if state.proved is not None or state.limit_hit is not None:
             break
@@ -445,11 +444,10 @@ def reference_expand_enode(state, goal_id):
             state.limit_hit = "nodes"
             break
         rid = state._new_rule(renamed, rename, theta, goal_id)
-        created.append(rid)
         if state.trace is not None:
             state.trace(f"ANODE a{rid} {a.id} {substitution_text(theta)}")
         if not renamed.premises:
-            cid = state._add_cert(rid, True, restrict(theta, goal.scope), ())
+            cid = state._add_cert(goal_id, rid, restrict(theta, goal.scope), ())
             if cid is not None:
                 propagate_anode(state, cid)
             continue
@@ -464,7 +462,6 @@ def reference_expand_enode(state, goal_id):
             if state.proved is not None:
                 break
         state.queue.extend(kids)
-    return created
 
 
 # The grounding the oracle used before its plans compiled builders: every

@@ -56,7 +56,8 @@ def test_expand_root_only_mp_applies(hilbert):
     # with the goal's variables frozen, A1 and A2 propositions clash against
     # the atomic sides of ( p -> p ); only MP's bare-variable proposition fits
     state = fresh_state(hilbert, "id")
-    rids = expand_enode(state, state.root)
+    expand_enode(state, state.root)
+    rids = state.goals[state.root].children
     assert [state.rules[r].assertion.id for r in rids] == ["MP"]
     mp = state.rules[rids[0]]
     kids = [render_string(state.goals[g].expression) for g in mp.children]
@@ -73,7 +74,8 @@ def test_expand_bare_variable_forks_every_assertion(hilbert):
     expand_enode(state, state.root)
     mp_children = state.rules[0].children
     minor = mp_children[0]  # a bare fresh variable
-    rids = expand_enode(state, minor)
+    expand_enode(state, minor)
+    rids = state.goals[minor].children
     assert [state.rules[r].assertion.id for r in rids] == ["A1", "A2", "MP"]
 
 
@@ -82,7 +84,8 @@ def test_expand_zero_assertions():
         'kind wff\nrule c : wff ::= "c"\nvar p : wff\nstatement s : => "c"\n'
     )
     state = fresh_state(d, "s")
-    assert expand_enode(state, state.root) == []
+    expand_enode(state, state.root)
+    assert state.goals[state.root].children == []
 
 
 SEEDED = """\
@@ -101,7 +104,7 @@ def test_seed_leaf_certificates():
     mp = state.rules[0]
     major = state.goals[mp.children[1]]
     assert render_string(major.expression) == "( ph#0 -> q )"
-    leaf_certs = [state.certs[c] for c in major.certs if not state.certs[c].children]
+    leaf_certs = [state.certs[c] for c in major.certs if state.certs[c].rule is None]
     assert len(leaf_certs) == 1
     assert leaf_certs[0].label == Substitution(
         {state.system.grammar.variable("ph#0"): freeze_expression(expr(d, "p"))}
@@ -112,7 +115,8 @@ def test_seed_no_match():
     d = load_system(SEEDED)
     state = fresh_state(d, "s")
     # the root goal is q, which does not match the premise ( p -> q )
-    assert seed_leaf_spts(state, state.root) == []
+    seed_leaf_spts(state, state.root)
+    assert state.goals[state.root].certs == []
 
 
 def test_seed_exact_premise_is_empty_substitution():
@@ -121,7 +125,8 @@ def test_seed_exact_premise_is_empty_substitution():
         'statement s : "p" => "p"\n'
     )
     state = fresh_state(d, "s")
-    created = seed_leaf_spts(state, state.root)
+    seed_leaf_spts(state, state.root)
+    created = state.goals[state.root].certs
     assert len(created) == 1
     assert state.certs[created[0]].label == EMPTY
     assert state.proved == created[0]
@@ -240,7 +245,7 @@ def _search_record(state, outcome):
         getattr(outcome, "limit", None),
         serialize_proof(outcome.proof) if isinstance(outcome, Proved) else None,
         (stats.goal_nodes, stats.rule_nodes, stats.certificates),
-        list(state.certs.values()),  # id, node, at_rule, label, children, com, delta
+        list(state.certs.values()),  # id, goal, rule, label, children, com, delta
     )
 
 
@@ -374,12 +379,14 @@ def test_cut_short_expansion_is_not_recorded(hilbert):
     # MP alone unifies with ( p -> p ) and needs three more nodes
     state = fresh_state(hilbert, "id")
     state.limits = SearchLimits(max_nodes=3)
-    assert expand_enode(state, state.root) == []
+    expand_enode(state, state.root)
+    assert state.goals[state.root].children == []
     assert state.limit_hit == "nodes"
     assert state.expansions == {}
     state.limits = SearchLimits(max_nodes=4)
     state.limit_hit = None
-    assert len(expand_enode(state, state.root)) == 1
+    expand_enode(state, state.root)
+    assert len(state.goals[state.root].children) == 1
     assert len(state.expansions) == 1
 
 
@@ -460,6 +467,45 @@ def test_variant_hit_renames_simultaneously(monkeypatch):
     assert render_string(state.goals[con.children[0]].expression) == "( -. ph#3 -> -. ps#3 )"
 
 
+def _certificate_invariants(state):
+    """What makes dedup keys unnecessary: no node holds a certificate twice,
+    no rule node derives two from one tuple, a derived label speaks only of
+    its goal, and a goal holds only its own leaves and its rule children's
+    certificates.  Every node keeps to the cap.  Returns the number of
+    certificates held."""
+    held = 0
+    for node in (*state.goals.values(), *state.rules.values()):
+        assert len(set(node.certs)) == len(node.certs) <= state.limits.max_spts_per_node
+        held += len(node.certs)
+    for rule in state.rules.values():
+        tuples = [state.certs[c].children for c in rule.certs]
+        assert len(set(tuples)) == len(tuples)
+        scope = state.goals[rule.parent].scope
+        for c in rule.certs:
+            cert = state.certs[c]
+            assert (cert.goal, cert.rule) == (rule.parent, rule.id)
+            assert all(v in scope for v, _ in cert.label.items())
+    for goal in state.goals.values():
+        for c in goal.certs:
+            cert = state.certs[c]
+            assert cert.goal == goal.id
+            assert cert.rule is None or cert.rule in goal.children
+    return held
+
+
+def test_certificate_invariants_hold():
+    cases = [(HARD_HILBERT, sid, SearchLimits(max_depth=8, max_spts_per_node=20, timeout=600.0))
+             for sid in ("syld", "imim1", "syl5")]
+    cases += [(d, s.id, SEARCH_LIMITS) for d in corpus(CORPUS_SEED, 40) for s in d.statements]
+    verdicts = set()
+    for d, sid, limits in cases:
+        state = init_search(d, d.statement(sid))
+        out = run(state, limits)
+        verdicts.add(type(out).__name__)
+        assert _certificate_invariants(state) == state.stats.certificates
+    assert verdicts == {"Proved", "Exhausted", "LimitReached"}
+
+
 def test_full_node_stops_crossing_on_syld():
     state = fresh_state(HARD_HILBERT, "syld")
     out = run(state, SearchLimits(max_depth=8, max_spts_per_node=20, timeout=600.0))
@@ -517,7 +563,7 @@ def test_propagation_clash_skipped():
     # cannot be reconciled with the major's ph#0 := p
     cid = state._add_cert(
         minor_goal.id,
-        False,
+        None,
         Substitution({g.variable("ph#0"): freeze_expression(expr(d, "q"))}),
         (),
     )
@@ -543,13 +589,12 @@ def test_extract_premise_less_transition():
 def test_certificate_sets_only_grow(hilbert):
     state = fresh_state(hilbert, "id")
     out = run(state, SearchLimits(max_depth=6, timeout=10))
-    assert state.stats.certificates == len(state.certs)
     assert state.stats.tuples_unified <= state.stats.tuples_tested
-    # every certificate created is still attached to its node
-    attached = sum(len(g.certs) for g in state.goals.values()) + sum(
-        len(r.certs) for r in state.rules.values()
-    )
-    assert attached == len(state.certs)
+    # every certificate created is still held by the node that took it first:
+    # its rule node, or its goal for a premise leaf
+    for c in state.certs.values():
+        assert c.id in (state.goals[c.goal] if c.rule is None else state.rules[c.rule]).certs
+    assert _certificate_invariants(state) == state.stats.certificates
 
 
 def test_self_check_mode_finds_no_violations(hilbert):
@@ -597,16 +642,17 @@ def test_extracted_proof_is_more_general_than_instance(hilbert):
 
 
 def test_duplicate_certificates_are_not_readded():
-    d = load_system(SEEDED)
-    g = d.grammar
-    state = fresh_state(d, "s")
-    expand_enode(state, state.root)
-    mp = state.rules[0]
-    major = state.goals[mp.children[1]]
-    count = len(major.certs)
-    # replay the premise seeding: same label, same (empty) children
-    assert seed_leaf_spts(state, major.id) == []
-    assert len(major.certs) == count
+    # the only certificates that can repeat are premise leaves: a replayed
+    # seeding, or a statement that lists the same premise twice
+    d = load_system(SEEDED + 'statement twice : "( p -> q )" "( p -> q )" => "q"\n')
+    for sid in ("s", "twice"):
+        state = fresh_state(d, sid)
+        expand_enode(state, state.root)
+        mp = state.rules[0]
+        major = state.goals[mp.children[1]]
+        assert [state.certs[c].rule for c in major.certs] == [None]
+        seed_leaf_spts(state, major.id)
+        assert len(major.certs) == 1
 
 
 def test_trace_includes_premise_leaves():
