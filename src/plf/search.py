@@ -19,6 +19,19 @@ Two interleaved passes over an AND-OR tree of goals:
   all frozen, so its label is empty) proves the statement, and the proof it
   unfolds to is at least as general as any congruent proof.
 
+Loop check (regularity): a closed goal, one without replaceable variables,
+that equals a goal on its ancestor path is not expanded.  This loses no
+proof and no generality.  A closed goal's only label is the empty one, so a
+proof passes through it with exactly its expression, and so through the
+ancestor too (equal expressions are both closed: a fresh name holds ``#``,
+which no statement variable can).  Grafting the inner subproof at the
+ancestor gives a smaller proof, no deeper, whose steps above the ancestor
+see the same empty label.  So whenever a proof exists, one exists that
+avoids every pruned node, and a proof found is still at least as general.
+A cut goal is not a limit: ``Exhausted`` means no proof exists in the tree
+once repeats are cut, which by this argument means no proof at all, even
+where the uncut tree would have run into the depth limit.
+
 Tuples of sibling certificates are enumerated incrementally: each new
 certificate is crossed against the already-present certificates of the other
 children, so every tuple is tested at most once and yields at most one
@@ -461,7 +474,9 @@ def extract_proof(state: SearchState, cert_id: int) -> ProofNode:
 
 def run(state: SearchState, limits: SearchLimits) -> SearchOutcome:
     """Alternate FIFO goal expansion with eager certificate propagation until
-    the root is certified, the tree is exhausted, or a limit trips."""
+    the root is certified, the tree is exhausted, or a limit trips.  A
+    closed goal that repeats an ancestor is dropped unexpanded (see the
+    module docstring)."""
     state.limits = limits
     started = time.monotonic()
     state.deadline = started + limits.timeout
@@ -490,7 +505,25 @@ def run(state: SearchState, limits: SearchLimits) -> SearchOutcome:
                 return finish(LimitReached("spts", state.stats))
             return finish(Exhausted(state.stats))
         goal_id = state.queue.popleft()
-        if state.goals[goal_id].depth >= limits.max_depth:
+        goal = state.goals[goal_id]
+        if _repeats_ancestor(state, goal):
+            state._emit("LOOP e{}", goal_id)
+            continue
+        if goal.depth >= limits.max_depth:
             depth_capped = True
             continue
         expand_enode(state, goal_id)
+
+
+def _repeats_ancestor(state: SearchState, goal: GoalNode) -> bool:
+    """Whether a closed goal equals a goal on its ancestor path (goal, parent
+    rule, that rule's goal, up to the root).  Open goals are never cut."""
+    if goal.scope:
+        return False
+    rule_id = goal.parent
+    while rule_id is not None:
+        ancestor = state.goals[state.rules[rule_id].parent]
+        if ancestor.expression == goal.expression:
+            return True
+        rule_id = ancestor.parent
+    return False

@@ -15,6 +15,7 @@ from collections import Counter
 import pytest
 
 from plf import (
+    Exhausted,
     KindMismatchError,
     Proved,
     SaturationBounds,
@@ -181,6 +182,18 @@ def test_criterion_4_generality(completeness_runs):
         f"{checked} proved cases, {congruent_pairs} congruent oracle proofs, "
         f"{failures} generality failures",
     )
+
+
+def test_exhausted_goal_is_not_derived(corpus_searches, oracle_results):
+    # with closed repeats cut, Exhausted claims that no proof exists at all
+    exhausted = derived = 0
+    for (_, s, _, outcome), (_, s2, sat) in zip(corpus_searches, oracle_results, strict=True):
+        assert s.id == s2.id and s.goal == s2.goal
+        if isinstance(outcome, Exhausted):
+            exhausted += 1
+            derived += sat is not None and s.goal in sat.derived
+    print(f"{exhausted} Exhausted searches, {derived} goals derived by the oracle")
+    assert exhausted > 0 and derived == 0
 
 
 def test_criterion_5_monotonicity(completeness_runs, corpus_searches):

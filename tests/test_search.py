@@ -26,7 +26,7 @@ from helpers import (
     sub,
 )
 from randsys import corpus
-from test_acceptance import CORPUS_SEED, SEARCH_LIMITS
+from test_acceptance import CORPUS_SEED, CORPUS_SYSTEMS, SEARCH_LIMITS
 
 
 def fresh_state(d, sid, **kwargs):
@@ -271,12 +271,16 @@ def test_crossing_equals_reference_on_hard_hilbert(monkeypatch, sid):
     assert out.stats.tuples_tested < ref.stats.tuples_tested
 
 
-@pytest.mark.parametrize("cap", [2, 120])
-def test_crossing_equals_reference_on_corpus(monkeypatch, cap):
+# Slices on which some node still fills: with closed repeats cut, no node of
+# the first 40 systems reaches either cap.
+@pytest.mark.parametrize(
+    "cap, systems", [pytest.param(2, 80, id="2"), pytest.param(120, CORPUS_SYSTEMS, id="120")]
+)
+def test_crossing_equals_reference_on_corpus(monkeypatch, cap, systems):
     limits = SearchLimits(max_depth=6, max_nodes=4000, max_spts_per_node=cap, timeout=600.0)
     verdicts = set()
     tested = [0, 0]
-    for d in corpus(CORPUS_SEED, 40):
+    for d in corpus(CORPUS_SEED, systems):
         for s in d.statements:
             out, ref = _same_as_reference_crossing(monkeypatch, d, s.id, limits)
             verdicts.add(type(out).__name__)
@@ -661,3 +665,70 @@ def test_trace_includes_premise_leaves():
     state = init_search(d, d.statement("s"), trace=lines.append)
     run(state, SearchLimits(max_depth=3, timeout=5))
     assert any(l.startswith("SPT-LEAF e") for l in lines)
+
+
+# R restates any expression, so every goal it expands repeats itself.
+RESTATE = (
+    'kind wff\nvar ph p : wff\nrule c : wff ::= "c"\n'
+    'axiom R : "ph" => "ph"\n'
+    'statement s : => "p"\n'
+    'statement t : "p" => "p"\n'
+)
+
+
+@pytest.mark.parametrize("depth", [1, 3, 6])
+def test_closed_repeat_of_an_ancestor_is_cut(depth):
+    d = load_system(RESTATE)
+    lines = []
+    state = init_search(d, d.statement("s"), trace=lines.append)
+    out = run(state, SearchLimits(max_depth=depth, timeout=5))
+    # the root "p" forks R, whose premise is "p" again; without the cut
+    # that chain runs into the depth limit
+    assert isinstance(out, Exhausted)
+    assert out.stats.goal_nodes == 2
+    assert "LOOP e1" in lines
+    proved = run(init_search(d, d.statement("t")), SearchLimits(max_depth=depth, timeout=5))
+    assert isinstance(proved, Proved)
+
+
+def test_open_repeat_of_an_ancestor_is_expanded():
+    d = load_system(
+        'kind wff\nvar ph ps q : wff\nrule imp : wff ::= "(" wff "->" wff ")"\n'
+        'axiom R : "ph" => "ph"\naxiom MP : "ph" "( ph -> ps )" => "ps"\n'
+        'statement s : => "q"\n'
+    )
+    lines = []
+    state = init_search(d, d.statement("s"), trace=lines.append)
+    run(state, SearchLimits(max_depth=3, timeout=5))
+    # e4 is R's premise under MP's minor premise e2, both ph#1; the
+    # regularity argument covers closed goals only, so only e1 is cut
+    repeat = state.goals[4]
+    assert repeat.scope and repeat.expression == state.goals[state.rules[repeat.parent].parent].expression
+    assert "EXPAND e4" in lines
+    assert [l for l in lines if l.startswith("LOOP")] == ["LOOP e1"]
+
+
+# How late a verdict comes: a limit that trips mid-run, then the limits
+# reported when the queue runs dry, then Exhausted (no limit).
+_STOP_ORDER = {"nodes": 0, "timeout": 0, "depth": 1, "spts": 2, None: 3}
+
+
+def test_loop_check_keeps_proofs_and_only_improves_verdicts(monkeypatch):
+    cases = [(HARD_HILBERT, sid, SearchLimits(max_depth=8, max_spts_per_node=20, timeout=600.0))
+             for sid in ("syld", "imim1", "syl5")]
+    at_corpus = SearchLimits(max_depth=6, max_nodes=4000, max_spts_per_node=120, timeout=600.0)
+    cases += [(d, s.id, at_corpus) for d in corpus(CORPUS_SEED, 40) for s in d.statements]
+    changed = 0
+    for d, sid, limits in cases:
+        out = run(init_search(d, d.statement(sid)), limits)
+        with monkeypatch.context() as m:
+            m.setattr(plf.search, "_repeats_ancestor", lambda state, goal: False)
+            uncut = run(init_search(d, d.statement(sid)), limits)
+        if isinstance(uncut, Proved) or isinstance(out, Proved):
+            assert isinstance(uncut, Proved) and isinstance(out, Proved), sid
+            assert serialize_proof(out.proof) == serialize_proof(uncut.proof)
+            continue
+        before, after = getattr(uncut, "limit", None), getattr(out, "limit", None)
+        assert _STOP_ORDER[after] >= _STOP_ORDER[before], (sid, before, after)
+        changed += before != after
+    assert changed > 0
