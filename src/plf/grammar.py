@@ -297,15 +297,25 @@ class _Chart:
     explicit stack of ``_fill`` generators, each suspended while the entry
     it needs is filled, so nesting depth is not limited by Python's
     recursion limit.
+
+    ``spans``, when given, carries entries across the charts of several
+    texts.  The grammar is context-free and ``_fill`` reads only
+    ``tokens[i:j]``, so the trees of an entry depend only on its kind and the
+    tokens it spans.  An entry that some production fits (by length and
+    trailing literals) is looked up there before it is filled, and goes there
+    once filled, so texts that contain earlier texts as subterms reuse their
+    trees, which come out shared.  ``spans`` maps (kind, hash of the span's
+    tokens) to (tokens of the text that filled it, start, trees): an entry
+    holds no copy of its tokens, and a hit counts only when they equal the
+    span's.
     """
 
-    def __init__(self, g: Grammar, tokens: Sequence[str]):
+    def __init__(self, g: Grammar, tokens: Sequence[str], spans: Optional[dict] = None):
         self.g = g
         self.tokens = tuple(tokens)
         self._memo = {}
-        self._at = {}
-        for pos, tok in enumerate(self.tokens):
-            self._at.setdefault(tok, []).append(pos)
+        self._spans = spans
+        self._at = None  # token -> its positions, built when a fill first needs it
 
     def trees(self, kind_name: str, i: int, j: int) -> list:
         top = (kind_name, i, j)
@@ -327,14 +337,15 @@ class _Chart:
 
     def _fill(self, kind_name: str, i: int, j: int):
         """Generator computing one entry: yields each (kind, i, j) entry it
-        needs that is not filled yet, is sent its trees, and returns its own.
+        needs that is not filled yet, is sent its trees, and returns its own
+        (from ``spans`` if another text filled it).
 
         The partial parses of a production advance one rhs item at a time in
         (end, tree) order, so the trees come out in the order of a
         depth-first walk that tries ends from left to right.
         """
         tokens = self.tokens
-        memo = self._memo
+        memo, spans, shared = self._memo, self._spans, None
         out = []
         if j - i == 1:
             decl = self.g.resolve_variable(tokens[i])
@@ -343,6 +354,12 @@ class _Chart:
         for prod, tail, plan in self.g._parse_plans[kind_name]:
             if j - i < len(plan) or tokens[j - len(tail) : j] != tail:
                 continue
+            if shared is None and spans is not None:  # the first production that fits
+                span = tokens[i:j]
+                shared = (kind_name, hash(span))
+                hit = spans.get(shared)
+                if hit is not None and hit[0][hit[1] : hit[1] + j - i] == span:
+                    return hit[2]
             partial = [(i, ())]
             for text, kind, after in plan:
                 advanced = []
@@ -358,6 +375,10 @@ class _Chart:
                         elif text is _FIXED:
                             ends = (last,) if pos < last else ()
                         else:
+                            if self._at is None:
+                                self._at = {}
+                                for at_pos, tok in enumerate(tokens):
+                                    self._at.setdefault(tok, []).append(at_pos)
                             at = self._at.get(text, ())
                             ends = at[bisect_left(at, pos + 1) : bisect_right(at, last)]
                         for q in ends:
@@ -373,6 +394,8 @@ class _Chart:
             for pos, kids in partial:
                 if pos == j:
                     out.append(Apply(prod, kids))
+        if shared is not None:
+            spans[shared] = (tokens, i, out)
         return out
 
 
@@ -406,32 +429,13 @@ def _parse_plan(prod: Production) -> tuple:
     return prod, tuple(reversed(tail)), tuple(steps)
 
 
-def parse_all(g: Grammar, kind: str, tokens: Sequence[str]) -> list:
-    """Every parse tree of ``tokens`` within the sublanguage of ``kind``."""
-    g.kind(kind)
+def parse_any_kind(g: Grammar, tokens: Sequence[str], spans: Optional[dict] = None) -> Expression:
+    """Parse under every declared kind and require a single distinct tree.
+    Calls that pass the same ``spans`` dict share chart entries (``_Chart``)."""
     toks = tuple(tokens)
     if not toks:
         raise NoParseError("empty token sequence")
-    return _Chart(g, toks).trees(kind, 0, len(toks))
-
-
-def parse_expression(g: Grammar, kind: str, tokens: Sequence[str]) -> Expression:
-    trees = parse_all(g, kind, tokens)
-    if not trees:
-        raise NoParseError(f"cannot parse {' '.join(tokens)!r} as kind {kind!r}")
-    if len(trees) > 1:
-        raise AmbiguousParseError(
-            f"{' '.join(tokens)!r} has {len(trees)} parse trees as kind {kind!r}"
-        )
-    return trees[0]
-
-
-def parse_any_kind(g: Grammar, tokens: Sequence[str]) -> Expression:
-    """Parse under every declared kind and require a single distinct tree."""
-    toks = tuple(tokens)
-    if not toks:
-        raise NoParseError("empty token sequence")
-    chart = _Chart(g, toks)
+    chart = _Chart(g, toks, spans)
     found = []
     for kname in g.kinds:
         for tree in chart.trees(kname, 0, len(toks)):

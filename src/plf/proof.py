@@ -215,6 +215,7 @@ class _ProofParser:
         self.tokens = _lex_proof(text)
         self.pos = 0
         self.parsed = {}  # token tuple -> Expression; texts recur in steps and witnesses
+        self.spans = {}  # chart entries shared by all texts of the file (grammar._Chart)
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, False)
@@ -237,7 +238,7 @@ class _ProofParser:
             raise ProofSyntaxError("empty expression string")
         tree = self.parsed.get(tokens)
         if tree is None:
-            tree = self.parsed[tokens] = parse_any_kind(self.d.grammar, tokens)
+            tree = self.parsed[tokens] = parse_any_kind(self.d.grammar, tokens, self.spans)
         return tree
 
     def substitution(self):

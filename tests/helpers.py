@@ -7,7 +7,7 @@ import random
 from collections import Counter
 
 from plf import AmbiguousParseError, Inference, NoParseError, ProofNode
-from plf.grammar import Apply, Lit, Var, parse_any_kind, render_expression
+from plf.grammar import Apply, Lit, Var, _Chart, parse_any_kind, render_expression
 from plf.term import Substitution
 
 
@@ -20,6 +20,50 @@ def sub(d, **images):
     """Substitution from declared-variable names to expression strings."""
     g = d.grammar
     return Substitution({g.variable(name): expr(d, image) for name, image in images.items()})
+
+
+NAT_PLS = """\
+kind nat
+kind wff
+rule z : nat ::= "z"
+rule s : nat ::= "s" nat
+rule isnat : wff ::= "N" nat
+var x : nat
+axiom zero : => "N z"
+axiom succ : "N x" => "N s x"
+"""
+
+
+def successor_chain_proof(depth):
+    """The .plp text of the proof of ``N s ... s z`` (``depth`` successors)
+    in ``NAT_PLS``, in the layout serialize_proof writes: each step repeats
+    its whole expression, and its witness image is the one below it."""
+    lines = [
+        "  " * (depth - k) + f'(step "N{" s" * k} z" by succ with {{ x := "{"s " * (k - 1)}z" }} from'
+        for k in range(depth, 0, -1)
+    ]
+    lines.append("  " * depth + '(step "N z" by zero with { } from)' + ")" * depth)
+    return "\n".join(lines) + "\n"
+
+
+def implication_chain(depth):
+    """( q -> ( q -> ... p ) ) with ``depth`` implications."""
+    return "( q -> " * depth + "p" + " )" * depth
+
+
+def a1_mp_chain_proof(depth):
+    """The .plp text of the A1/MP proof of ``"p" => implication_chain(depth)``
+    in the Hilbert system: each level is an MP step whose premises are the
+    level below and an A1 instance ``( prev -> ( q -> prev ) )``."""
+    lines = ['(hyp "p")']
+    for k in range(1, depth + 1):
+        prev, cur = implication_chain(k - 1), implication_chain(k)
+        lines = (
+            [f'(step "{cur}" by MP with {{ ph := "{prev}" ; ps := "{cur}" }} from']
+            + ["  " + line for line in lines]
+            + [f'  (step "( {prev} -> {cur} )" by A1 with {{ ph := "{prev}" ; ps := "q" }} from))']
+        )
+    return "\n".join(lines) + "\n"
 
 
 def assertion_multiset(t: ProofNode) -> Counter:
@@ -284,16 +328,18 @@ class ReferenceChart:
         return results
 
 
-def reference_parse_all(g, kind, tokens):
+def parse_all(g, kind, tokens, chart=_Chart):
+    """Every parse tree of ``tokens`` within the sublanguage of ``kind``."""
     g.kind(kind)
     toks = tuple(tokens)
     if not toks:
         raise NoParseError("empty token sequence")
-    return ReferenceChart(g, toks).trees(kind, 0, len(toks))
+    return chart(g, toks).trees(kind, 0, len(toks))
 
 
-def reference_parse_expression(g, kind, tokens):
-    trees = reference_parse_all(g, kind, tokens)
+def parse_expression(g, kind, tokens, chart=_Chart):
+    """The single parse tree of ``tokens`` as ``kind``."""
+    trees = parse_all(g, kind, tokens, chart)
     if not trees:
         raise NoParseError(f"cannot parse {' '.join(tokens)!r} as kind {kind!r}")
     if len(trees) > 1:
@@ -301,6 +347,14 @@ def reference_parse_expression(g, kind, tokens):
             f"{' '.join(tokens)!r} has {len(trees)} parse trees as kind {kind!r}"
         )
     return trees[0]
+
+
+def reference_parse_all(g, kind, tokens):
+    return parse_all(g, kind, tokens, ReferenceChart)
+
+
+def reference_parse_expression(g, kind, tokens):
+    return parse_expression(g, kind, tokens, ReferenceChart)
 
 
 def reference_parse_any_kind(g, tokens):

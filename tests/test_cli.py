@@ -8,6 +8,7 @@ import pytest
 from plf import load_system, parse_proof, serialize_proof
 from plf.cli import main
 from conftest import HILBERT_PLS
+from helpers import NAT_PLS, successor_chain_proof
 
 DATA = Path(__file__).parent / "data"
 
@@ -266,18 +267,6 @@ def test_verify_deeply_nested_violation_reports_its_path(tmp_path):
     ]
 
 
-NAT_PLS = """\
-kind nat
-kind wff
-rule z : nat ::= "z"
-rule s : nat ::= "s" nat
-rule isnat : wff ::= "N" nat
-var x : nat
-axiom zero : => "N z"
-axiom succ : "N x" => "N s x"
-"""
-
-
 def test_prove_deep_successor_chain(tmp_path):
     # 1,200 goal levels: certificate propagation and proof extraction keep
     # their own stacks, so the search is not bounded by the recursion limit
@@ -291,9 +280,19 @@ def test_prove_deep_successor_chain(tmp_path):
     assert proc.returncode == 0, proc.stderr
     proc = subprocess.run(
         [*plf, "verify", str(system), str(proof), "--statement", "deep"],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=30,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "valid\n", "")
+
+
+def test_verify_3000_level_successor_chain(tmp_path, capsys):
+    # a 27 MB proof whose every step repeats its whole expression: the
+    # parser charts each distinct span of the file once
+    system, proof = tmp_path / "nat.pls", tmp_path / "deep.plp"
+    system.write_text(NAT_PLS + 'statement deep : => "N' + " s" * 3000 + ' z"\n')
+    proof.write_text(successor_chain_proof(3000))
+    code, out, err = run_cli(capsys, "verify", str(system), str(proof), "--statement", "deep")
+    assert (code, out, err) == (0, "valid\n", "")
 
 
 def test_repeated_runs_byte_identical(hilbert_path, tmp_path):

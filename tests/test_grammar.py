@@ -11,14 +11,14 @@ from plf.grammar import (
     Slot,
     Var,
     _Chart,
-    parse_all,
     parse_any_kind,
-    parse_expression,
     render_expression,
 )
 from conftest import HILBERT_PLS
 from helpers import (
     enumerate_trees,
+    parse_all,
+    parse_expression,
     random_expression,
     reference_parse_all,
     reference_parse_any_kind,

@@ -1,20 +1,42 @@
 import random
+import re
 
 import pytest
 
+import plf.grammar
+import plf.proof
 from plf import (
+    AmbiguousParseError,
     Inference,
     ProofNode,
     ProofSyntaxError,
+    Proved,
+    SearchLimits,
     UnknownAssertionError,
     check_proof,
     check_statement_proof,
+    init_search,
+    load_system,
     parse_proof,
+    run,
     serialize_proof,
 )
-from plf.proof import congruent, generality, proof_leaves, substitute_proof
+from plf.grammar import parse_any_kind
+from plf.proof import _ProofParser, congruent, generality, proof_leaves, substitute_proof
 from plf.term import EMPTY, Substitution, apply, freeze_expression
-from helpers import assertion_multiset, expr, random_expression, sub
+from conftest import HILBERT_PLS
+from helpers import (
+    NAT_PLS,
+    a1_mp_chain_proof,
+    assertion_multiset,
+    expr,
+    implication_chain,
+    random_expression,
+    sub,
+    successor_chain_proof,
+)
+from randsys import corpus
+from test_acceptance import CORPUS_SEED, SEARCH_LIMITS
 
 
 def textbook_id_proof(d):
@@ -226,3 +248,125 @@ def test_perturbed_serialized_witness_fails(hilbert, id_proof):
     assert corrupted != text
     tree = parse_proof(corrupted, hilbert)
     assert check_proof(hilbert, tree)
+
+
+# -- one chart memo per proof file -------------------------------------------
+
+LADDER = load_system(
+    HILBERT_PLS
+    + 'statement a1d : "( p -> q )" => "( p -> ( r -> q ) )"\n'
+    + 'statement com12 : "( p -> ( q -> r ) )" => "( q -> ( p -> r ) )"\n'
+    + 'statement imim2 : => "( ( p -> q ) -> ( ( r -> p ) -> ( r -> q ) ) )"\n'
+    + 'statement syl : "( p -> q )" "( q -> r )" => "( p -> r )"\n'
+    + 'statement a2i : "( p -> ( q -> r ) )" => "( ( p -> q ) -> ( p -> r ) )"\n'
+    + 'statement sylcom : "( p -> ( q -> r ) )" "( q -> ( r -> ch ) )" => "( p -> ( q -> ch ) )"\n'
+)
+
+
+def _searched_proofs():
+    """(system, .plp text) of every proof the searches of the Hilbert ladder
+    statements above and of the first corpus systems write."""
+    ladder = SearchLimits(max_depth=8, max_nodes=100_000, max_spts_per_node=1000, timeout=60)
+    runs = [(LADDER, s, ladder) for s in LADDER.statements]
+    runs += [(d, s, SEARCH_LIMITS) for d in corpus(CORPUS_SEED, 100) for s in d.statements]
+    out = []
+    for d, s, limits in runs:
+        found = run(init_search(d, s), limits)
+        if isinstance(found, Proved):
+            out.append((d, serialize_proof(found.proof)))
+    return out
+
+
+def _nat_chain(depth):
+    d = load_system(NAT_PLS + 'statement deep : => "N' + " s" * depth + ' z"\n')
+    return d, successor_chain_proof(depth)
+
+
+def _a1_mp_chain(depth):
+    d = load_system(HILBERT_PLS + f'statement c : "p" => "{implication_chain(depth)}"\n')
+    return d, a1_mp_chain_proof(depth)
+
+
+def _parse_with_fresh_charts(monkeypatch, text, d):
+    """parse_proof with every expression text charted on its own."""
+    with monkeypatch.context() as m:
+        m.setattr(plf.proof, "parse_any_kind", lambda g, tokens, spans: parse_any_kind(g, tokens))
+        return parse_proof(text, d)
+
+
+def test_shared_chart_parses_equal_fresh_charts(monkeypatch):
+    searched = _searched_proofs()
+    assert len(searched) == 137  # all seven ladder statements and 130 corpus ones
+    chains = [_a1_mp_chain(depth) for depth in (1, 2, 18)] + [_nat_chain(depth) for depth in (1, 40)]
+    for d, text in searched + chains:
+        tree = parse_proof(text, d)
+        assert tree == _parse_with_fresh_charts(monkeypatch, text, d)
+        assert serialize_proof(tree) == text
+
+
+def test_shared_chart_checks_tokens_on_a_hit(monkeypatch):
+    # every span of every text hashes alike, so lookups meet other spans' entries
+    monkeypatch.setattr(plf.grammar, "hash", lambda value: 0, raising=False)
+    for d, text in [_a1_mp_chain(6), _nat_chain(6)]:
+        assert parse_proof(text, d) == _parse_with_fresh_charts(monkeypatch, text, d)
+
+
+def test_shared_chart_shares_subterms():
+    d, text = _a1_mp_chain(5)
+    root = parse_proof(text, d)
+    # the minor premise's text is a subterm of the root's: one tree for both
+    assert root.inference.children[0].expression is root.expression.children[1]
+
+
+SUM_PLS = """\
+kind s
+var x y : s
+rule atom : s ::= "a"
+rule cat : s ::= s "+" s
+axiom join : => "x + y"
+"""
+
+
+def test_ambiguity_reported_at_first_ambiguous_text(monkeypatch):
+    # "a + a" fills the entries "a + a + a" is built from; the later
+    # "a + a + a + a" (five trees) is never reached
+    d = load_system(SUM_PLS)
+    text = (
+        '(step "a + a" by join with { x := "a" ; y := "a + a + a" } from\n'
+        '  (hyp "a + a + a + a"))\n'
+    )
+    message = re.escape("'a + a + a' has 2 parse trees")
+    with pytest.raises(AmbiguousParseError, match=message):
+        parse_proof(text, d)
+    with pytest.raises(AmbiguousParseError, match=message):
+        _parse_with_fresh_charts(monkeypatch, text, d)
+
+
+class _CountingSpans(dict):
+    """A shared chart memo that counts the entries filled into it."""
+
+    fills = 0
+
+    def __setitem__(self, key, value):
+        self.fills += 1
+        dict.__setitem__(self, key, value)
+
+
+def _entries_filled(d, text):
+    parser = _ProofParser(d, text)
+    parser.spans = _CountingSpans()
+    parser.node()
+    return parser.spans.fills
+
+
+@pytest.mark.parametrize(
+    "chain, depths",
+    [(_nat_chain, (100, 200, 400)), (_a1_mp_chain, (25, 50, 100))],
+    ids=["successor", "a1_mp"],
+)
+def test_chart_entries_grow_linearly_in_proof_depth(chain, depths):
+    # each level adds a constant number of new spans; the rest are reused
+    counts = [_entries_filled(*chain(depth)) for depth in depths]
+    assert counts[0] >= depths[0]
+    for shorter, longer in zip(counts, counts[1:]):
+        assert longer <= 2.2 * shorter, counts
