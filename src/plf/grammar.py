@@ -15,7 +15,9 @@ trees of an input and raises if it finds more than one.
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -84,46 +86,51 @@ class VariableDecl:
     kind: Kind
 
 
-@dataclass(frozen=True, init=False)
 class Var:
     """A variable leaf.  The replaceable flag is search metadata: it decides
     whether unification may bind the variable, but two occurrences that
-    differ only in the flag denote the same token and compare equal."""
+    differ only in the flag denote the same token and compare equal.
 
-    name: str
-    kind: Kind
-    replaceable: bool = field(default=True, compare=False)
+    Term nodes are immutable by convention (their fields are set once, in
+    ``__init__``); they are slotted because the search, the checker and the
+    oracle do little else than build and compare them."""
+
+    __slots__ = ("name", "kind", "replaceable", "_hash")
 
     def __init__(self, name: str, kind: Kind, replaceable: bool = True):
-        setattr = object.__setattr__  # frozen: fields are set once, here
-        setattr(self, "name", name)
-        setattr(self, "kind", kind)
-        setattr(self, "replaceable", replaceable)
-        setattr(self, "_hash", hash((name, kind)))
+        self.name = name
+        self.kind = kind
+        self.replaceable = replaceable
+        self._hash = hash((name, kind))
+
+    def __eq__(self, other):
+        if other.__class__ is not Var:
+            return NotImplemented
+        return self.name == other.name and (self.kind is other.kind or self.kind == other.kind)
 
     def __hash__(self):
         return self._hash
 
+    def __repr__(self):
+        return f"Var(name={self.name!r}, kind={self.kind!r}, replaceable={self.replaceable!r})"
 
-@dataclass(frozen=True, init=False)
+
 class Apply:
     """A production node.  ``open`` records whether a replaceable variable
     occurs below it; substitutions leave closed terms as they are."""
 
-    production: Production
-    children: tuple
+    __slots__ = ("production", "children", "_hash", "open", "__weakref__")
 
     def __init__(self, production: Production, children: tuple):
-        setattr = object.__setattr__  # frozen: fields are set once, here
-        setattr(self, "production", production)
-        setattr(self, "children", children)
-        setattr(self, "_hash", hash((production.id, production.result_kind.name, children)))
+        self.production = production
+        self.children = children
+        self._hash = hash((production.id, production.result_kind.name, children))
         is_open = False
         for child in children:
             if child.replaceable if child.__class__ is Var else child.open:
                 is_open = True
                 break
-        setattr(self, "open", is_open)
+        self.open = is_open
 
     def __eq__(self, other):
         """Structural equality, insensitive to the replaceable flag.  The
@@ -154,8 +161,28 @@ class Apply:
     def kind(self) -> Kind:
         return self.production.result_kind
 
+    def __repr__(self):
+        return f"Apply(production={self.production!r}, children={self.children!r})"
+
 
 Expression = Union[Var, Apply]
+
+
+@contextmanager
+def gc_paused():
+    """Run the body with Python's cyclic garbage collector disabled, then
+    restore the caller's setting: it is re-enabled only if it was enabled on
+    entry, so pauses nest.  Use it only around code that builds no reference
+    cycles (term nodes hold none): reference counting then frees all that
+    code drops, and the pause holds no memory back.  Also a decorator
+    (``@gc_paused()``)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class Grammar:

@@ -17,6 +17,13 @@ variable; its witness ``Substitution`` and premise instances are built only
 when read, which only ``oracle_proofs`` does.  The oracle has its own ground
 matcher and instantiation; it shares only the ``Substitution`` witness type
 and ``variables_of`` with the kernel.
+
+``saturate`` pauses Python's cyclic garbage collector (``gc_paused``) and
+restores the caller's setting when it returns or raises.  The pause is
+process-wide.  The saturation builds no reference cycles (plans, builders
+and justifications point only at terms and pools, never back), so reference
+counting frees everything it drops and the collector would only walk the
+growing fact set again and again.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import GoalNotDerivedError, UniverseOverflowError
-from .grammar import Apply, Expression, Lit, Slot, Var, render_string
+from .grammar import Apply, Expression, Lit, Slot, Var, gc_paused, render_string
 from .proof import Inference, ProofNode
 from .system import DeductiveSystem, Statement, assertion_variables
 from .term import Substitution, variables_of
@@ -193,7 +200,9 @@ def _match(plan, pattern, fact, env):
             if at is None or env[k] is not None and env[k] != at:
                 return None
             env[k] = at
-        elif tgt.__class__ is not Apply or tgt.production != pat.production:
+        elif tgt.__class__ is not Apply or (
+            tgt.production is not pat.production and tgt.production != pat.production
+        ):
             return None
         else:
             stack.extend(zip(pat.children, tgt.children))
@@ -274,6 +283,7 @@ def _new_tuples(plan, known, heads, delta, delta_heads) -> list:
     return sorted(found)
 
 
+@gc_paused()
 def saturate(d: DeductiveSystem, s: Statement, b: SaturationBounds) -> Saturation:
     """Forward saturation, semi-naive: round r instantiates an assertion only
     where one of its premise instances was derived in round r - 1 (the

@@ -51,6 +51,13 @@ same search (equal up to renaming replaceable variables).  The first of a
 class expanded over every assertion records the rule node each assertion
 gave; a later variant maps those nodes through one bijective renaming, which
 unification, seeing names only through ``==``, cannot tell from unifying.
+
+``run`` pauses Python's cyclic garbage collector (``gc_paused``) and
+restores the caller's setting when it returns or raises.  The pause is
+process-wide.  The search builds no reference cycles: nodes and
+certificates refer to each other by id, and term nodes only to their
+subterms, so reference counting frees everything it drops and the
+collector would only walk the live tree again and again.
 """
 
 from __future__ import annotations
@@ -62,7 +69,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Optional, Union
 
-from .grammar import Expression, Var
+from .grammar import Expression, Var, gc_paused
 from .proof import Inference, ProofNode, check_statement_proof
 from .system import Assertion, DeductiveSystem, FreshSupply, Statement, rename_assertion
 from .term import (
@@ -472,6 +479,7 @@ def extract_proof(state: SearchState, cert_id: int) -> ProofNode:
     return done[0]
 
 
+@gc_paused()
 def run(state: SearchState, limits: SearchLimits) -> SearchOutcome:
     """Alternate FIFO goal expansion with eager certificate propagation until
     the root is certified, the tree is exhausted, or a limit trips.  A

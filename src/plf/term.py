@@ -187,7 +187,9 @@ def match_many(pairs) -> Optional[Substitution]:
                 if not (isinstance(tgt, Var) and tgt == pat):
                     return None
         else:
-            if not isinstance(tgt, Apply) or tgt.production != pat.production:
+            if not isinstance(tgt, Apply) or (
+                tgt.production is not pat.production and tgt.production != pat.production
+            ):
                 return None
             stack.extend(zip(pat.children, tgt.children))
     return Substitution(bound)
@@ -305,7 +307,7 @@ def _unify_pairs(pairs) -> Optional[dict]:
         if left is right:
             continue
         if left.__class__ is Apply and right.__class__ is Apply:
-            if left.production != right.production:
+            if left.production is not right.production and left.production != right.production:
                 return None
             if left.open or right.open:
                 # ``==`` ignores the replaceable flag but bindings do not, so

@@ -1,4 +1,5 @@
 import random
+import weakref
 
 import pytest
 
@@ -189,6 +190,18 @@ def test_apply_equality_is_structural(hilbert):
     for other in ("( q -> ( q -> p ) )", "( p -> ( p -> q ) )", "( ( p -> q ) -> p )"):
         assert one != parse_expression(g, "wff", other.split())
     assert one != Var("p", g.kind("wff"))
+
+
+def test_term_nodes_are_lean(hilbert):
+    # slotted: no per-node dict; an Apply can still be weakly referenced
+    g = hilbert.grammar
+    e = parse_expression(g, "wff", "( p -> q )".split())
+    for node in (e, *e.children):
+        assert not hasattr(node, "__dict__")
+    assert weakref.ref(e)() is e
+    assert repr(Var("p", g.kind("wff"), False)) == (
+        "Var(name='p', kind=Kind(name='wff'), replaceable=False)"
+    )
 
 
 # -- the literal-anchored chart against the reference chart -----------------

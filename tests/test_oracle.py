@@ -20,6 +20,7 @@ from plf.grammar import Apply
 from plf.oracle import dump_derived, expression_universe, oracle_proofs
 from plf.proof import serialize_proof
 from plf.term import Substitution, freeze_expression
+from conftest import HILBERT_PLS
 from helpers import (
     assertion_multiset,
     expr,
@@ -234,6 +235,17 @@ def test_join_binds_a_repeated_premise_variable_once():
     )
     sat = _assert_same_saturation(d, d.statement("s"), SaturationBounds(9, 4))
     assert sat.derived[expr(d, "( ( q -> q ) -> ( q -> q ) )")] == 3
+
+
+def test_ground_match_takes_equal_productions_of_another_load(hilbert):
+    # the oracle's matcher compares productions by identity first; a fact
+    # built from an equal production of another load must still match
+    g = hilbert.grammar
+    universe = expression_universe(g, (g.variable("p"), g.variable("q")), 5, 1000)
+    plan = plf.oracle._Plan(hilbert.assertion("MP"), universe)
+    fact = expr(load_system(HILBERT_PLS), "( p -> q )")
+    env = plf.oracle._match(plan, plan.assertion.premises[1], fact, [None, None])
+    assert [plan.pools[k][i] for k, i in enumerate(env)] == [g.variable("p"), g.variable("q")]
 
 
 def test_join_matches_a_nullary_constant_in_a_premise():

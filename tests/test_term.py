@@ -135,6 +135,18 @@ def test_match_structural(hilbert):
     assert got == sub(hilbert, ph="p", ps="( q -> p )")
 
 
+def test_equal_productions_of_two_loads_match_and_unify(hilbert):
+    # productions are compared by identity first; equal but distinct ones,
+    # as two loads of one text give, must still count as the same
+    other = load_system(HILBERT_PLS)
+    assert other.grammar.productions == hilbert.grammar.productions
+    assert other.grammar.productions[0] is not hilbert.grammar.productions[0]
+    pattern, target = expr(hilbert, "( ph -> ps )"), expr(other, "( p -> ( q -> p ) )")
+    assert match_expression(pattern, target) == sub(hilbert, ph="p", ps="( q -> p )")
+    assert unify_expressions(pattern, target) == sub(hilbert, ph="p", ps="( q -> p )")
+    assert match_expression(expr(hilbert, "( ph -> ph )"), target) is None
+
+
 def test_match_respects_frozen_pattern_variables(hilbert):
     pattern = freeze_expression(expr(hilbert, "ph"))
     assert match_expression(pattern, expr(hilbert, "( p -> q )")) is None
