@@ -66,9 +66,6 @@ class Slot:
     kind: str
 
 
-RhsItem = Union[Lit, Slot]
-
-
 @dataclass(frozen=True)
 class Production:
     id: str

@@ -47,14 +47,13 @@ class SaturationBounds:
     """Budget for one saturation run.
 
     ``max_expression_tokens`` bounds the rendered length of universe members
-    (the expressions substitutions may draw on); derived conclusions are only
-    bounded by the round count.  ``variable_pool`` defaults to the variables
-    of the statement under test.
+    (the expressions substitutions may draw on), which are built over the
+    variables of the statement under test; derived conclusions are only
+    bounded by the round count.
     """
 
     max_expression_tokens: int
     max_rounds: int
-    variable_pool: Optional[tuple] = None
     universe_cap: int = 20000
 
 
@@ -151,6 +150,7 @@ def _instance_pool(universe: dict, kind) -> list:
 
 
 _MAX_JUSTIFICATIONS_PER_EXPR = 64
+_MAX_TRANSITIONS = 12
 
 
 class _Plan:
@@ -290,12 +290,10 @@ def saturate(d: DeductiveSystem, s: Statement, b: SaturationBounds) -> Saturatio
     statement's premises count as new in round 1), so every instance is
     visited once.  Assertions without premises fire in round 1 only.
     """
-    pool = b.variable_pool
-    if pool is None:
-        seen = set()
-        for e in (*s.premises, s.goal):
-            seen |= variables_of(e)
-        pool = tuple(sorted(seen, key=lambda v: v.name))
+    seen = set()
+    for e in (*s.premises, s.goal):
+        seen |= variables_of(e)
+    pool = tuple(sorted(seen, key=lambda v: v.name))
     universe = expression_universe(
         d.grammar, pool, b.max_expression_tokens, b.universe_cap
     )
@@ -341,11 +339,11 @@ def oracle_proofs(
     b: SaturationBounds,
     goal: Expression,
     max_count: int,
-    max_transitions: int = 12,
     saturation: Optional[Saturation] = None,
 ) -> list:
-    """Up to ``max_count`` distinct proof trees of ``goal``, smallest first
-    (counted in transitions), unrolled from the saturation record."""
+    """Up to ``max_count`` distinct proof trees of ``goal`` of at most
+    ``_MAX_TRANSITIONS`` transitions, smallest first, unrolled from the
+    saturation record."""
     sat = saturation if saturation is not None else saturate(d, s, b)
     premises = set(s.premises)
     if goal not in sat.derived and goal not in premises:
@@ -380,7 +378,7 @@ def oracle_proofs(
         return out
 
     results = []
-    for cost in range(0, max_transitions + 1):
+    for cost in range(0, _MAX_TRANSITIONS + 1):
         for tree in build(goal, cost):
             results.append(tree)
             if len(results) >= max_count:

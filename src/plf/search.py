@@ -70,7 +70,7 @@ from itertools import product
 from typing import Callable, Optional, Union
 
 from .grammar import Expression, Var, gc_paused
-from .proof import Inference, ProofNode, check_statement_proof
+from .proof import Inference, ProofNode
 from .system import Assertion, DeductiveSystem, FreshSupply, Statement, rename_assertion
 from .term import (
     EMPTY,
@@ -174,7 +174,7 @@ class Certificate:
 
 
 class SearchState:
-    def __init__(self, system, statement, self_check=False, trace=None):
+    def __init__(self, system, statement, trace=None):
         self.system = system
         self.statement = statement
         self.goals = {}
@@ -186,8 +186,6 @@ class SearchState:
         self.limits = SearchLimits()
         self.deadline = math.inf  # time.monotonic() value; run() sets it
         self.trace: Optional[Callable] = trace
-        self.self_check = self_check
-        self.self_check_failures = []
         self.proved: Optional[int] = None
         self.limit_hit: Optional[str] = None
         self.certs_capped = False
@@ -232,12 +230,12 @@ class SearchState:
         holder.certs.append(cert.id)
         self.stats.certificates += 1
         if self.trace is not None:
-            tag = f"{'a' if at_rule else 'e'}{holder.id} {substitution_text(cert.label)}"
+            node = f"{'a' if at_rule else 'e'}{holder.id}"
             if cert.rule is None:
-                self.trace(f"SPT-LEAF {tag}")
+                self._emit("SPT-LEAF {} {}", node, cert.label)
             else:
                 stats = self.stats
-                self.trace(f"SPT {tag} tuples={stats.tuples_tested}/{stats.tuples_unified}")
+                self._emit("SPT {} {} tuples={}/{}", node, cert.label, stats.tuples_tested, stats.tuples_unified)
         return True
 
     def _emit(self, template, *parts):
@@ -247,16 +245,11 @@ class SearchState:
             self.trace(template.format(*texts))
 
 
-def init_search(
-    d: DeductiveSystem,
-    s: Statement,
-    self_check: bool = False,
-    trace: Optional[Callable] = None,
-) -> SearchState:
+def init_search(d: DeductiveSystem, s: Statement, trace: Optional[Callable] = None) -> SearchState:
     """Fresh state: one root goal (the statement's goal, variables frozen),
     no certificates, FIFO queue holding the root."""
     d.statement(s.id)  # raises UnknownStatementError when s is foreign
-    state = SearchState(d, s, self_check=self_check, trace=trace)
+    state = SearchState(d, s, trace=trace)
     state.queue.append(state.root)
     return state
 
@@ -381,8 +374,6 @@ def propagate_anode(state: SearchState, cert_id: int) -> None:
             if cert.rule is not None and not state._hold(cert, False):
                 new = None
                 continue
-            if state.self_check:
-                _validate_certificate(state, new)
             if cert.goal == state.root:
                 state.proved = new
                 state._emit("PROVED e{}", state.root)
@@ -432,17 +423,6 @@ def _cross(state: SearchState, rule_id: int, trigger: int):
         cid = state._add_cert(rule.parent, rule_id, label, combo, com, delta)
         if cid is not None:
             yield cid
-
-
-def _validate_certificate(state, cert_id):
-    """The certificate must unfold to a proof of the certified instance of
-    its goal from the statement's premises."""
-    cert = state.certs[cert_id]
-    instance = apply(cert.label, state.goals[cert.goal].expression)
-    claim = Statement(state.statement.id, state.statement.premises, instance)
-    problems = check_statement_proof(state.system, claim, extract_proof(state, cert_id))
-    if problems:
-        state.self_check_failures.append((cert_id, problems))
 
 
 def extract_proof(state: SearchState, cert_id: int) -> ProofNode:

@@ -388,12 +388,10 @@ def reference_saturate(d, s, b):
     from plf.system import assertion_variables
     from plf.term import apply, variables_of
 
-    pool = b.variable_pool
-    if pool is None:
-        seen = set()
-        for e in (*s.premises, s.goal):
-            seen |= variables_of(e)
-        pool = tuple(sorted(seen, key=lambda v: v.name))
+    seen = set()
+    for e in (*s.premises, s.goal):
+        seen |= variables_of(e)
+    pool = tuple(sorted(seen, key=lambda v: v.name))
     universe = expression_universe(d.grammar, pool, b.max_expression_tokens, b.universe_cap)
 
     known = {p: 0 for p in s.premises}
@@ -470,6 +468,32 @@ def reference_propagate_anode(state, rule_id, trigger):
         cid = state._add_cert(rule.parent, rule_id, label, combo, com, delta)
         if cid is not None:
             yield cid
+
+
+# -- certificate soundness ---------------------------------------------------
+# The search's soundness claim, checked from outside the engine: every
+# certificate a run made unfolds to a valid proof.  Certificates are frozen
+# once made, and extraction reads only a certificate's own subtree, which
+# exists in full when the certificate is made, so checking after the run
+# gives each certificate the answer it would have had when it was made.
+
+
+def certificate_problems(state):
+    """(certificate id, checker problems) for each certificate of ``state``
+    that does not unfold, by ``extract_proof``, to a proof of its instance
+    of its goal from the statement's premises; [] when all are sound."""
+    from plf import Statement, check_statement_proof
+    from plf.search import extract_proof
+    from plf.term import apply
+
+    out = []
+    for cert in state.certs.values():
+        instance = apply(cert.label, state.goals[cert.goal].expression)
+        claim = Statement(state.statement.id, state.statement.premises, instance)
+        problems = check_statement_proof(state.system, claim, extract_proof(state, cert.id))
+        if problems:
+            out.append((cert.id, problems))
+    return out
 
 
 # -- reference expansion -----------------------------------------------------

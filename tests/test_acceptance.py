@@ -42,7 +42,7 @@ from plf.term import (
     variables_of,
 )
 from conftest import HILBERT_PLS
-from helpers import assertion_multiset, enumerate_trees, proof_nodes
+from helpers import assertion_multiset, certificate_problems, enumerate_trees, proof_nodes
 from randsys import corpus
 
 CORPUS_SEED = 20260810
@@ -63,11 +63,11 @@ def corpus_systems():
 
 @pytest.fixture(scope="module")
 def corpus_searches(corpus_systems):
-    """(system, statement, state, outcome) for 1000 self-checked searches."""
+    """(system, statement, state, outcome) for 1000 searches."""
     results = []
     for d in corpus_systems:
         for s in d.statements:
-            state = init_search(d, s, self_check=True)
+            state = init_search(d, s)
             outcome = run(state, SEARCH_LIMITS)
             results.append((d, s, state, outcome))
     return results
@@ -88,7 +88,7 @@ def completeness_runs(oracle_results):
         if sat is None or s.goal not in sat.derived:
             continue
         depth = sat.derived[s.goal] + 2
-        state = init_search(d, s, self_check=True)
+        state = init_search(d, s)
         outcome = run(
             state,
             SearchLimits(max_depth=depth, max_nodes=30_000, max_spts_per_node=400, timeout=20),
@@ -134,8 +134,8 @@ def test_criterion_1_end_to_end_hilbert(tmp_path):
 
 def test_criterion_2_correctness_suite(corpus_searches):
     searches = len(corpus_searches)
-    cert_count = sum(state.stats.certificates for _, _, state, _ in corpus_searches)
-    violations = sum(len(state.self_check_failures) for _, _, state, _ in corpus_searches)
+    cert_count = sum(len(state.certs) for _, _, state, _ in corpus_searches)
+    violations = sum(len(certificate_problems(state)) for _, _, state, _ in corpus_searches)
     bad_proved = 0
     for d, s, state, outcome in corpus_searches:
         if isinstance(outcome, Proved):

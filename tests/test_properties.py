@@ -1,6 +1,8 @@
 """Property tests: the search, the checker and the oracle agree on random
-small systems drawn from the acceptance corpus generator, and `plf verify`
-answers every mutated copy of a real proof file without a traceback.
+small systems drawn from the acceptance corpus generator, the search keeps
+every limit it is given, and `plf verify`, `plf prove` and `plf oracle`
+answer every mutated copy of a real proof or system file without a
+traceback.
 
 Hypothesis runs derandomized with a bounded number of examples, so the suite
 stays deterministic and fast; a failure shrinks to one generator seed.
@@ -20,6 +22,7 @@ from plf import (
     Exhausted,
     Proved,
     SaturationBounds,
+    SearchLimits,
     UniverseOverflowError,
     check_statement_proof,
     init_search,
@@ -63,6 +66,79 @@ def test_search_agrees_with_checker_and_oracle(seed):
             assert s.goal not in sat.derived
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=1, max_value=400),  # the root exists before any limit
+    st.integers(min_value=0, max_value=12),
+)
+def test_search_keeps_its_limits(seed, depth, nodes, cap):
+    d = load_system(random_system_text(random.Random(seed)))
+    limits = SearchLimits(max_depth=depth, max_nodes=nodes, max_spts_per_node=cap, timeout=10)
+    for s in d.statements:
+        state = init_search(d, s)
+        out = run(state, limits)
+        assert out.stats.nodes <= nodes
+        assert all(len(n.certs) <= cap for n in (*state.goals.values(), *state.rules.values()))
+        assert all(state.goals[r.parent].depth < depth for r in state.rules.values())
+
+
+def _mutate(data, text, junk):
+    """``text`` with one word dropped, duplicated or replaced by another word
+    of the text or of ``junk``, or with one line cut short."""
+    words = [m.span() for m in re.finditer(r"\S+", text)]
+    how = data.draw(st.sampled_from(["drop", "duplicate", "replace", "cut"]))
+    if how == "cut":
+        line_start = data.draw(st.sampled_from([0] + [m.end() for m in re.finditer("\n", text)][:-1]))
+        start = data.draw(st.integers(line_start, text.index("\n", line_start)))
+        end = text.index("\n", start)
+        new = ""
+    else:
+        start, end = data.draw(st.sampled_from(words))
+        if how == "drop":
+            new = ""
+        elif how == "duplicate":
+            new = f"{text[start:end]} {text[start:end]}"
+        else:
+            new = data.draw(st.sampled_from(sorted({text[a:b] for a, b in words}) + junk))
+    return text[:start] + new + text[end:]
+
+
+def _answers(argv):
+    """Run the CLI; it must exit 0, 1 or 2, and on 2 write one ``error:``
+    line to stderr and nothing else there."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    return code, err.getvalue()
+
+
+_PLS_JUNK = ["kind", "var", "rule", "coerce", "into", "axiom", "statement", ":", "::=", "=>",
+             '"', '""', "zz", "#"]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_prove_and_oracle_survive_mutated_systems(tmp_path_factory, data):
+    # a word of the system dropped, duplicated or replaced, or a line cut
+    # short: prove (small limits) and oracle (small bounds) answer proved or
+    # derived (0), not (1) or error (2), never a traceback
+    if data.draw(st.booleans()):
+        text = HILBERT_PLS
+    else:
+        text = random_system_text(random.Random(data.draw(st.integers(0, 2**32 - 1))))
+    sid = data.draw(st.sampled_from(re.findall(r"^statement (\S+)", text, re.M)))
+    path = tmp_path_factory.mktemp("pls") / "mutated.pls"
+    path.write_text(_mutate(data, text, _PLS_JUNK))
+    _answers(["prove", str(path), "--statement", sid, "--max-depth", "4",
+              "--max-nodes", "300", "--max-spts-per-node", "20", "--timeout", "5"])
+    _answers(["oracle", str(path), "--statement", sid, "--max-size", "5", "--max-rounds", "2"])
+
+
 @pytest.fixture(scope="module")
 def proof_files(tmp_path_factory):
     """A directory and (system path, statement id, .plp text) of three real
@@ -83,7 +159,7 @@ def proof_files(tmp_path_factory):
     return root, cases
 
 
-_JUNK = ["(", ")", "{", "}", ";", ":=", '"', '""', "step", "hyp", "by", "with", "from", "zz", "#"]
+_PLP_JUNK = ["(", ")", "{", "}", ";", ":=", '"', '""', "step", "hyp", "by", "with", "from", "zz", "#"]
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -93,28 +169,8 @@ def test_verify_survives_mutated_proofs(proof_files, data):
     # verify answers valid (0), invalid (1) or error (2), never a traceback
     root, cases = proof_files
     system, sid, text = data.draw(st.sampled_from(cases))
-    words = [m.span() for m in re.finditer(r"\S+", text)]
-    how = data.draw(st.sampled_from(["drop", "duplicate", "replace", "cut"]))
-    if how == "cut":
-        line_start = data.draw(st.sampled_from([0] + [m.end() for m in re.finditer("\n", text)][:-1]))
-        start = data.draw(st.integers(line_start, text.index("\n", line_start)))
-        end = text.index("\n", start)
-        new = ""
-    else:
-        start, end = data.draw(st.sampled_from(words))
-        if how == "drop":
-            new = ""
-        elif how == "duplicate":
-            new = f"{text[start:end]} {text[start:end]}"
-        else:
-            new = data.draw(st.sampled_from(sorted({text[a:b] for a, b in words}) + _JUNK))
     proof = root / "mutated.plp"
-    proof.write_text(text[:start] + new + text[end:])
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(["verify", system, str(proof), "--statement", sid])
-    assert code in (0, 1, 2)
-    if code == 2:
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-    else:
-        assert err.getvalue() == ""
+    proof.write_text(_mutate(data, text, _PLP_JUNK))
+    code, err = _answers(["verify", system, str(proof), "--statement", sid])
+    if code != 2:
+        assert err == ""

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import plf.search
@@ -20,6 +22,7 @@ from plf.term import EMPTY, Substitution, apply, freeze_expression, unify_substi
 from conftest import HILBERT_PLS
 from helpers import (
     assertion_multiset,
+    certificate_problems,
     expr,
     reference_expand_enode,
     reference_propagate_anode,
@@ -29,8 +32,8 @@ from randsys import corpus
 from test_acceptance import CORPUS_SEED, CORPUS_SYSTEMS, SEARCH_LIMITS
 
 
-def fresh_state(d, sid, **kwargs):
-    state = init_search(d, d.statement(sid), **kwargs)
+def fresh_state(d, sid):
+    state = init_search(d, d.statement(sid))
     state.limits = SearchLimits()
     return state
 
@@ -601,11 +604,22 @@ def test_certificate_sets_only_grow(hilbert):
     assert _certificate_invariants(state) == state.stats.certificates
 
 
-def test_self_check_mode_finds_no_violations(hilbert):
-    state = fresh_state(hilbert, "id", self_check=True)
+def test_every_certificate_unfolds_to_a_valid_proof(hilbert):
+    state = fresh_state(hilbert, "id")
     out = run(state, SearchLimits(max_depth=6, timeout=10))
     assert isinstance(out, Proved)
-    assert state.self_check_failures == []
+    assert certificate_problems(state) == []
+
+
+@pytest.mark.parametrize("field", ["label", "delta"])
+def test_certificate_problems_reports_a_tampered_certificate(hilbert, field):
+    # the soundness check can fail: one stored certificate with a wrong
+    # label (its claimed instance) or delta (its children's reconciliation)
+    state = fresh_state(hilbert, "id")
+    run(state, SearchLimits(max_depth=6, timeout=10))
+    victim = next(c for c in state.certs.values() if getattr(c, field))
+    state.certs[victim.id] = dataclasses.replace(victim, **{field: EMPTY})
+    assert victim.id in [cid for cid, _ in certificate_problems(state)]
 
 
 def test_trace_stream(hilbert):
