@@ -109,14 +109,17 @@ def cmd_oracle(args) -> int:
     return 1
 
 
-def _limit(convert):
+def _limit(convert, least=0, why=""):
     """An argparse type: ``convert`` of the text, refused when negative or
-    NaN, so that every limit the user sets can hold.  ``inf`` is allowed."""
+    NaN, or below ``least`` (for the reason ``why``), so that every limit
+    the user sets can hold.  ``inf`` is allowed."""
 
     def parse(text):
         value = convert(text)
         if not value >= 0:  # also true for NaN
             raise argparse.ArgumentTypeError(f"must be a number >= 0, not {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, since {why}, not {text!r}")
         return value
 
     parse.__name__ = convert.__name__  # argparse names the type in "invalid int value"
@@ -134,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     prove.add_argument("system", help="path to a .pls system definition")
     prove.add_argument("--statement", required=True, help="statement id to prove")
     prove.add_argument("--max-depth", type=_limit(int), default=8)
-    prove.add_argument("--max-nodes", type=_limit(int), default=100_000)
+    prove.add_argument("--max-nodes", type=_limit(int, 1, "the root goal is a node"), default=100_000)
     prove.add_argument("--max-spts-per-node", type=_limit(int), default=1000)
     prove.add_argument("--timeout", type=_limit(float), default=60.0, help="seconds")
     prove.add_argument("-o", "--output", help="write the .plp proof here")

@@ -49,13 +49,25 @@ fair within its limits.
 Expansion is by lookup: most goals are variants of an earlier goal of the
 same search (equal up to renaming replaceable variables).  The first of a
 class expanded over every assertion records the rule node each assertion
-gave; a later variant maps those nodes through one bijective renaming, which
+gave, with its instance, renaming and edge unifier, and checks each edge
+(the unifier makes proposition and goal equal).  A later variant maps
+those nodes through one bijective renaming ``rho`` (the first goal's
+variables onto its own, and the fresh names onto new ones), which
 unification, seeing names only through ``==``, cannot tell from unifying.
+Expansion does only what the tree needs at once: the child goals and
+their scopes through ``rho``, the fresh stamp and the node limit.  A
+looked-up node's instance, renaming and edge unifier are built on first
+read (``_build_rule``, which also checks the edge); most are never read,
+since crossing reads the edge only for a tuple that unifies and
+extraction only on a proof.  A premise-less node is built at once for its
+certificate's label, and with ``trace`` set every node is, since ``ANODE``
+prints the edge.
 
 ``run`` pauses Python's cyclic garbage collector (``gc_paused``) and
 restores the caller's setting when it returns or raises.  The pause is
 process-wide.  The search builds no reference cycles: nodes and
-certificates refer to each other by id, and term nodes only to their
+certificates refer to each other by id, a looked-up rule node refers to
+its source node, which never refers back, and term nodes only to their
 subterms, so reference counting frees everything it drops and the
 collector would only walk the live tree again and again.
 """
@@ -148,15 +160,33 @@ class GoalNode:
     certs: list = field(default_factory=list)
 
 
-@dataclass
 class RuleNode:
-    id: int
-    assertion: Assertion  # freshly renamed instance
-    rename: dict  # original variable -> fresh variable
-    edge_unifier: Substitution
-    parent: int
-    children: list = field(default_factory=list)
-    certs: list = field(default_factory=list)
+    """A rule node: ``assertion`` is the freshly renamed instance whose
+    proposition unifies with the parent goal, ``rename`` maps the original
+    variables to the fresh ones, and ``edge_unifier`` is the unifier.
+
+    A node made by lookup holds these three only once something reads one
+    of them: until then ``lookup`` is (source rule node, renaming ``rho``,
+    parent goal expression), and ``_build_rule`` maps the source's fields
+    through ``rho`` on the first read."""
+
+    __slots__ = ("id", "parent", "children", "certs", "assertion", "rename", "edge_unifier", "lookup")
+
+    def __init__(self, id, parent, assertion=None, rename=None, edge_unifier=None, lookup=None):
+        self.id = id
+        self.parent = parent
+        self.children = []
+        self.certs = []
+        self.lookup = lookup
+        if lookup is None:
+            self.assertion, self.rename, self.edge_unifier = assertion, rename, edge_unifier
+
+    def __getattr__(self, name):
+        # reached only when a slot is unset: a deferred field of a looked-up node
+        if self.lookup is None or name not in ("assertion", "rename", "edge_unifier"):
+            raise AttributeError(name)
+        _build_rule(self)
+        return object.__getattribute__(self, name)
 
 
 @dataclass(frozen=True)
@@ -204,10 +234,10 @@ class SearchState:
         self.goals[gid] = GoalNode(gid, expression, depth, parent, scope)
         return gid
 
-    def _new_rule(self, assertion, rename, edge_unifier, parent) -> int:
+    def _new_rule(self, assertion, rename, edge_unifier, parent, lookup=None) -> int:
         rid = self.stats.rule_nodes
         self.stats.rule_nodes += 1
-        self.rules[rid] = RuleNode(rid, assertion, rename, edge_unifier, parent)
+        self.rules[rid] = RuleNode(rid, parent, assertion, rename, edge_unifier, lookup)
         self.goals[parent].children.append(rid)
         return rid
 
@@ -289,36 +319,50 @@ def expand_enode(state: SearchState, goal_id: int) -> None:
         if first is None:
             renamed, rename = rename_assertion(a, state.supply)
             theta = unify_expressions(renamed.proposition, goal.expression)
-            scopes = [None] * len(renamed.premises)  # _new_goal works them out
+            if theta is None:
+                record.append(None)
+                continue
+            assert apply(theta, renamed.proposition) == apply(theta, goal.expression)
+            lookup = None
+            kids = [(apply(theta, p), None) for p in renamed.premises]  # _new_goal works the scopes out
         else:
             k = state.supply.take()
             if first[1][i] is None:
                 continue
-            renamed, rename, theta, scopes = _rename_step(state, first[1][i], first[0], variables, k)
-        if theta is None:
-            record.append(None)
-            continue
-        if state.stats.nodes + 1 + len(renamed.premises) > state.limits.max_nodes:
+            source = state.rules[first[1][i]]
+            # the first goal's variables onto this goal's and the source's
+            # fresh names onto ones stamped k, at once
+            rho = Substitution([
+                *zip(first[0], variables),
+                *((w, Var(f"{v.name}#{k}", v.kind, True)) for v, w in source.rename.items()),
+            ])
+            renamed = rename = theta = None
+            lookup = (source, rho, goal.expression)
+            kids = [
+                (apply(rho, kid.expression), frozenset(apply(rho, v) for v in kid.scope))
+                for kid in map(state.goals.__getitem__, source.children)
+            ]
+        if state.stats.nodes + 1 + len(kids) > state.limits.max_nodes:
             state.limit_hit = "nodes"
             break
-        rid = state._new_rule(renamed, rename, theta, goal_id)
+        rid = state._new_rule(renamed, rename, theta, goal_id, lookup)
         record.append(rid)
-        state._emit("ANODE a{} {} {}", rid, a.id, theta)
-        assert apply(theta, renamed.proposition) == apply(theta, goal.expression)
-        if not renamed.premises:
-            label = restrict(theta, goal.scope)  # com of the empty tuple set is empty
+        rule = state.rules[rid]
+        if state.trace is not None:
+            state._emit("ANODE a{} {} {}", rid, a.id, rule.edge_unifier)
+        if not kids:
+            label = restrict(rule.edge_unifier, goal.scope)  # com of the empty tuple set is empty
             cid = state._add_cert(goal_id, rid, label, ())
             if cid is not None:
                 propagate_anode(state, cid)
             continue
         depth = goal.depth + 1
-        kids = [state._new_goal(apply(theta, p), depth, rid, sc) for p, sc in zip(renamed.premises, scopes)]
-        state.rules[rid].children = kids
-        for kid in kids:
+        rule.children = [state._new_goal(e, depth, rid, scope) for e, scope in kids]
+        for kid in rule.children:
             seed_leaf_spts(state, kid)
             if state.proved is not None:
                 break
-        state.queue.extend(kids)
+        state.queue.extend(rule.children)
     else:
         if first is None:  # a cut-short expansion is not recorded
             state.expansions[key] = (variables, record)
@@ -345,19 +389,21 @@ def _variant_key(expression) -> tuple:
     return tuple(key), list(order)
 
 
-def _rename_step(state, rule_id, first_variables, variables, k):
-    """Rule node ``rule_id`` of a variant, renamed onto this goal's variables
-    and fresh names stamped ``k`` at once: instance, renaming, unifier and
-    premise scopes.  An image that was the proposition stays shared."""
-    rule = state.rules[rule_id]
-    renamed, rename, theta = rule.assertion, rule.rename, rule.edge_unifier
-    fresh = {v: Var(f"{v.name}#{k}", v.kind, True) for v in rename}
-    rho = Substitution([*zip(first_variables, variables), *zip(rename.values(), fresh.values())])
+def _build_rule(rule: RuleNode) -> None:
+    """Store the instance, renaming and edge unifier of a rule node made by
+    lookup: its source's, mapped through ``rho``, which unification, seeing
+    names only through ``==``, cannot tell from unifying afresh.  An image
+    that was the proposition stays shared.  Checks the edge, as expansion
+    does for a node it unifies."""
+    source, rho, goal_expression = rule.lookup
+    renamed, theta = source.assertion, source.edge_unifier
     prop = apply(rho, renamed.proposition)
     images = {apply(rho, v): prop if t is renamed.proposition else apply(rho, t) for v, t in theta.items()}
-    assertion = Assertion(renamed.id, tuple(apply(rho, p) for p in renamed.premises), prop)
-    scopes = [frozenset(apply(rho, v) for v in state.goals[kid].scope) for kid in rule.children]
-    return assertion, fresh, Substitution(images), scopes
+    rule.assertion = Assertion(renamed.id, tuple(apply(rho, p) for p in renamed.premises), prop)
+    rule.rename = {v: rho[w] for v, w in source.rename.items()}
+    rule.edge_unifier = theta = Substitution(images)
+    rule.lookup = None
+    assert apply(theta, prop) == apply(theta, goal_expression)
 
 
 def propagate_anode(state: SearchState, cert_id: int) -> None:
@@ -404,7 +450,6 @@ def _cross(state: SearchState, rule_id: int, trigger: int):
         for child in rule.children
     ]
     parent_scope = state.goals[rule.parent].scope
-    edge = rule.edge_unifier
     cap = state.limits.max_spts_per_node
     for combo in product(*pools):
         if state.certs_capped and len(rule.certs) >= cap:
@@ -418,6 +463,7 @@ def _cross(state: SearchState, rule_id: int, trigger: int):
             continue
         state.stats.tuples_unified += 1
         delta, com = outcome
+        edge = rule.edge_unifier  # read only here: most rule nodes never unify a tuple
         # restrict(compose(com, edge), parent_scope), built over the scope only
         label = Substitution({v: apply(com, apply(edge, v)) for v in parent_scope})
         cid = state._add_cert(rule.parent, rule_id, label, combo, com, delta)

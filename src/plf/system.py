@@ -154,7 +154,7 @@ def _expect_bare(toks, idx, lineno, what):
     return toks[idx][0]
 
 
-def _parse_expr(g: Grammar, text: str, lineno: int) -> Expression:
+def _parse_expr(g: Grammar, text: str, lineno: int, spans: dict) -> Expression:
     tokens = text.split()
     if not tokens:
         raise SystemSyntaxError(f"line {lineno}: empty expression")
@@ -164,7 +164,7 @@ def _parse_expr(g: Grammar, text: str, lineno: int) -> Expression:
         if t not in g.literals and g.resolve_variable(t) is None:
             raise UndeclaredVariableError(f"line {lineno}: undeclared variable {t!r}")
     try:
-        return parse_any_kind(g, tokens)
+        return parse_any_kind(g, tokens, spans)
     except FrameworkError as exc:
         raise type(exc)(f"line {lineno}: {exc}") from None
 
@@ -279,15 +279,16 @@ def load_system(text: str) -> DeductiveSystem:
     except ValueError as exc:
         raise SystemSyntaxError(str(exc)) from None
 
+    spans = {}  # chart entries shared by all texts of the file (grammar._Chart)
     assertions = []
     for ident, before, after, lineno in axioms:
-        premises = tuple(_parse_expr(grammar, s, lineno) for s in before)
-        assertions.append(Assertion(ident, premises, _parse_expr(grammar, after, lineno)))
+        premises = tuple(_parse_expr(grammar, s, lineno, spans) for s in before)
+        assertions.append(Assertion(ident, premises, _parse_expr(grammar, after, lineno, spans)))
 
     stmts = []
     for ident, before, after, lineno in statements:
-        premises = tuple(freeze_expression(_parse_expr(grammar, s, lineno)) for s in before)
-        stmts.append(Statement(ident, premises, freeze_expression(_parse_expr(grammar, after, lineno))))
+        premises = tuple(freeze_expression(_parse_expr(grammar, s, lineno, spans)) for s in before)
+        stmts.append(Statement(ident, premises, freeze_expression(_parse_expr(grammar, after, lineno, spans))))
 
     return DeductiveSystem(grammar, assertions, stmts)
 

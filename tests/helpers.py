@@ -86,6 +86,21 @@ def proof_nodes(t: ProofNode):
             yield from proof_nodes(child)
 
 
+def flagged(e):
+    """Pre-order structure of ``e`` including the replaceable flags that
+    ``==`` and the rendered text ignore."""
+    out = []
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            out.append((node.name, node.kind.name, node.replaceable))
+        else:
+            out.append(node.production.id)
+            stack.extend(reversed(node.children))
+    return tuple(out)
+
+
 def random_expression(rng: random.Random, grammar, kind_name, max_tokens, leaves):
     """Random expression of (a kind accepted by) ``kind_name`` whose render
     stays within ``max_tokens``.  ``leaves`` maps kind names to Var lists."""

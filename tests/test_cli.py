@@ -101,6 +101,18 @@ def test_negative_or_nan_limit_is_a_usage_error(hilbert_path, capsys, command, o
     ]
 
 
+def test_node_limit_below_one_is_a_usage_error(hilbert_path, capsys):
+    # the root goal exists before the search weighs any node against the limit
+    with pytest.raises(SystemExit) as stop:
+        main(["prove", str(hilbert_path), "--statement", "id", "--max-nodes", "0"])
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        "plf prove: error: argument --max-nodes: must be >= 1, since the root goal is a node, not '0'"
+    ]
+
+
 def test_limit_that_is_no_number_names_its_type(hilbert_path, capsys):
     with pytest.raises(SystemExit) as stop:
         main(["prove", str(hilbert_path), "--statement", "id", "--max-nodes", "x"])

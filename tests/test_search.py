@@ -17,13 +17,14 @@ from plf import (
 )
 from plf.proof import proof_leaves, serialize_proof
 from plf.search import expand_enode, extract_proof, propagate_anode, seed_leaf_spts
-from plf.grammar import Apply, Var
+from plf.grammar import Apply
 from plf.term import EMPTY, Substitution, apply, freeze_expression, unify_substitutions, variables_of
 from conftest import HILBERT_PLS
 from helpers import (
     assertion_multiset,
     certificate_problems,
     expr,
+    flagged,
     reference_expand_enode,
     reference_propagate_anode,
     sub,
@@ -293,33 +294,19 @@ def test_crossing_equals_reference_on_corpus(monkeypatch, cap, systems):
     assert tested[0] < tested[1]  # the slice reaches a full node
 
 
-def _flagged(e):
-    """An expression in preorder with every variable's replaceable flag,
-    which both == and the rendered text ignore."""
-    out, stack = [], [e]
-    while stack:
-        node = stack.pop()
-        if node.__class__ is Var:
-            out.append((node.name, node.kind.name, node.replaceable))
-        else:
-            out.append(node.production.id)
-            stack.extend(reversed(node.children))
-    return tuple(out)
-
-
 def _tree_record(state, lines):
     """Every goal and rule node as built, the fresh-name counter and the
     trace, flags included."""
     goals = [
-        (_flagged(g.expression), g.depth, g.parent, sorted(map(_flagged, g.scope)), g.children)
+        (flagged(g.expression), g.depth, g.parent, sorted(map(flagged, g.scope)), g.children)
         for g in state.goals.values()
     ]
     rules = [
         (
             r.assertion.id,
-            [_flagged(e) for e in (*r.assertion.premises, r.assertion.proposition)],
-            [(_flagged(v), _flagged(w)) for v, w in r.rename.items()],
-            [(_flagged(v), _flagged(t)) for v, t in r.edge_unifier.items()],
+            [flagged(e) for e in (*r.assertion.premises, r.assertion.proposition)],
+            [(flagged(v), flagged(w)) for v, w in r.rename.items()],
+            [(flagged(v), flagged(t)) for v, t in r.edge_unifier.items()],
             r.parent,
             r.children,
         )
@@ -362,6 +349,82 @@ def test_expansion_equals_reference_on_corpus(monkeypatch):
             _, out = _same_as_reference_expansion(monkeypatch, d, s.id, SEARCH_LIMITS)
             verdicts.add(type(out).__name__)
     assert verdicts == {"Proved", "Exhausted", "LimitReached"}
+
+
+def _counting_builds(monkeypatch):
+    """The ids of the looked-up rule nodes that get built, in build order."""
+    built = []
+    build = plf.search._build_rule
+
+    def counted(rule):
+        built.append(rule.id)
+        build(rule)
+
+    monkeypatch.setattr(plf.search, "_build_rule", counted)
+    return built
+
+
+def test_search_without_certificates_builds_no_looked_up_node(monkeypatch):
+    built = _counting_builds(monkeypatch)
+    d = corpus(CORPUS_SEED, 101)[100]
+    state = init_search(d, d.statement("s0"))
+    out = run(state, SEARCH_LIMITS)
+    assert isinstance(out, LimitReached) and out.limit == "nodes"
+    assert state.certs == {}
+    assert built == []
+    # 1,320 of its 1,333 rule nodes were made by lookup
+    assert sum(r.lookup is not None for r in state.rules.values()) > len(state.rules) / 2
+
+
+def _built_as_read(state, built):
+    """Crossing reads a rule node's edge unifier only for a tuple that
+    unifies, so the node then holds a certificate, and extraction reads only
+    certified nodes; with no cap tripped, the looked-up nodes built must be
+    exactly the certified ones, each built once.  Returns how many stayed
+    unbuilt."""
+    assert not state.certs_capped
+    unbuilt = {r.id for r in state.rules.values() if r.lookup is not None}
+    looked_up = set(built) | unbuilt
+    assert len(built) == len(set(built))
+    assert set(built) == {rid for rid in looked_up if state.rules[rid].certs}
+    return len(unbuilt)
+
+
+def test_searches_build_only_the_looked_up_nodes_they_read(monkeypatch, hilbert):
+    built = _counting_builds(monkeypatch)
+    state = init_search(hilbert, hilbert.statement("id"))
+    assert isinstance(run(state, SearchLimits(max_depth=6)), Proved)
+    assert _built_as_read(state, built) and built
+    unbuilt = 0
+    for d in corpus(CORPUS_SEED, 40):  # no search of this slice trips the cap
+        for s in d.statements:
+            built.clear()
+            state = init_search(d, d.statement(s.id))
+            run(state, SEARCH_LIMITS)
+            unbuilt += _built_as_read(state, built)
+    assert unbuilt > 1000
+
+
+def test_every_looked_up_rule_node_builds_as_the_reference_expands(monkeypatch):
+    # untraced searches leave most looked-up rule nodes unbuilt; reading every
+    # field builds them, and each must pass the edge check and equal the node
+    # the reference expansion made, flags included
+    deferred = 0
+    for d in corpus(CORPUS_SEED, 40):
+        for s in d.statements:
+            with monkeypatch.context() as m:
+                m.setattr(plf.search, "expand_enode", reference_expand_enode)
+                ref_state = init_search(d, d.statement(s.id))
+                ref = run(ref_state, SEARCH_LIMITS)
+            state = init_search(d, d.statement(s.id))
+            out = run(state, SEARCH_LIMITS)
+            deferred += sum(r.lookup is not None for r in state.rules.values())
+            for r in state.rules.values():
+                theta = r.edge_unifier
+                assert apply(theta, r.assertion.proposition) == apply(theta, state.goals[r.parent].expression)
+            assert _tree_record(state, []) == _tree_record(ref_state, [])
+            assert _search_record(state, out) == _search_record(ref_state, ref)
+    assert deferred > 500  # nodes the searches themselves never built
 
 
 NODE_SWEEP = load_system(HILBERT_PLS + 'statement syl : "( p -> q )" "( q -> r )" => "( p -> r )"\n')

@@ -1,5 +1,9 @@
+import random
+from pathlib import Path
+
 import pytest
 
+import plf.system
 from plf import (
     DuplicateIdError,
     NoParseError,
@@ -10,10 +14,13 @@ from plf import (
     render_string,
     render_system,
 )
-from plf.grammar import Var
+from plf.grammar import Var, parse_any_kind
 from plf.system import FreshSupply, rename_assertion
 from plf.term import variables_of
 from conftest import HILBERT_PLS
+from helpers import flagged
+from randsys import random_system_text
+from test_acceptance import CORPUS_SEED, CORPUS_SYSTEMS
 
 
 def test_load_hilbert(hilbert):
@@ -139,3 +146,29 @@ def test_unknown_assertion(hilbert):
 
     with pytest.raises(UnknownAssertionError):
         hilbert.assertion("missing")
+
+
+def _system_record(d):
+    """Every assertion and statement of ``d``, flags included."""
+    return (
+        [(a.id, [flagged(p) for p in a.premises], flagged(a.proposition)) for a in d.assertions],
+        [(s.id, [flagged(p) for p in s.premises], flagged(s.goal)) for s in d.statements],
+    )
+
+
+def test_shared_chart_memo_loads_the_same_systems(monkeypatch):
+    # load_system shares one chart memo among the texts of a file; loading
+    # each text on its own chart must give equal expressions, flags included
+    rng = random.Random(CORPUS_SEED)
+    texts = [random_system_text(rng) for _ in range(CORPUS_SYSTEMS)]
+    texts += [p.read_text() for p in sorted((Path(__file__).parent / "data").glob("*.pls"))]
+    shared = [load_system(t) for t in texts]
+    with monkeypatch.context() as m:
+        m.setattr(plf.system, "parse_any_kind", lambda g, tokens, spans: parse_any_kind(g, tokens))
+        alone = [load_system(t) for t in texts]
+    assert shared == alone
+    assert [_system_record(d) for d in shared] == [_system_record(d) for d in alone]
+    # the memo is used: MP's major premise is A2's subterm, not a copy
+    hilbert = load_system(HILBERT_PLS)
+    a2 = hilbert.assertion("A2").proposition
+    assert hilbert.assertion("MP").premises[1] is a2.children[1].children[0]

@@ -23,6 +23,7 @@ from conftest import HILBERT_PLS
 from helpers import (
     enumerate_trees,
     expr,
+    flagged,
     random_expression,
     reference_unify_pairs,
     reference_unify_substitutions,
@@ -344,26 +345,11 @@ def _factors_through(eta, delta, pool):
 # -- differential check against the eager reference unifier ---------------
 
 
-def _flagged(e):
-    """Pre-order structure of ``e`` including the replaceable flags that
-    ``==`` ignores."""
-    out = []
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            out.append((node.name, node.kind.name, node.replaceable))
-        else:
-            out.append(node.production.id)
-            stack.extend(reversed(node.children))
-    return tuple(out)
-
-
 def _exact(bindings):
     """Bindings in order, flags included; None stays None."""
     if bindings is None:
         return None
-    return [(v.name, v.replaceable, _flagged(e)) for v, e in bindings.items()]
+    return [(v.name, v.replaceable, flagged(e)) for v, e in bindings.items()]
 
 
 def _mixed_leaves(g):
