@@ -9,8 +9,9 @@ expected whenever ``m`` is reachable from ``n`` through coercions.  Two
 expressions are therefore equal exactly when they render to the same token
 string, which is what the rest of the package relies on.
 
-Ambiguity is undecidable up front, so the parser enumerates *all* parse
-trees of an input and raises if it finds more than one.
+Ambiguity is undecidable up front, so the parser decides it per input: it
+builds the parse trees of an input, at most two per chart entry, and raises
+if it finds more than one.
 """
 
 from __future__ import annotations
@@ -304,14 +305,19 @@ class Grammar:
 
 
 class _Chart:
-    """All-parses enumerator.
+    """Parse-tree enumerator, capped at two trees per entry.
 
-    ``trees(kind, i, j)`` returns every tree whose intrinsic kind is accepted
-    by ``kind`` and whose render spans tokens[i:j].  Coercion steps build no
-    nodes, so the trees come out already in canonical form and duplicates
-    cannot arise.  Every child span is strictly shorter than its parent (no
-    production derives the empty string and single-slot productions are
-    coercions), so left-recursive grammars terminate.
+    ``trees(kind, i, j)`` returns the first two trees (all of them, if
+    fewer) whose intrinsic kind is accepted by ``kind`` and whose render
+    spans tokens[i:j].  Coercion steps build no nodes, so the trees come out
+    already in canonical form and duplicates cannot arise.  Only 0, 1 or
+    "2 or more" matters to a caller, and that abstraction commutes with the
+    sums (productions and ends) and products (slots) the chart computes: an
+    entry with two trees makes every parse through it ambiguous.  So the cap
+    keeps the verdict exact, while the full count on an ambiguous grammar
+    grows like the Catalan numbers.  Every child span is strictly shorter
+    than its parent (no production derives the empty string and single-slot
+    productions are coercions), so left-recursive grammars terminate.
 
     A slot tries only the ends that can lead to a parse: a slot followed by
     literals alone ends where they begin, and a slot followed by a literal
@@ -418,6 +424,8 @@ class _Chart:
             for pos, kids in partial:
                 if pos == j:
                     out.append(Apply(prod, kids))
+        if len(out) > 2:
+            del out[2:]  # see the class docstring: two trees decide ambiguity
         if shared is not None:
             spans[shared] = (tokens, i, out)
         return out
@@ -468,7 +476,7 @@ def parse_any_kind(g: Grammar, tokens: Sequence[str], spans: Optional[dict] = No
     if not found:
         raise NoParseError(f"cannot parse {' '.join(toks)!r} under any kind")
     if len(found) > 1:
-        raise AmbiguousParseError(f"{' '.join(toks)!r} has {len(found)} parse trees")
+        raise AmbiguousParseError(f"{' '.join(toks)!r} is ambiguous: at least 2 parse trees")
     return found[0]
 
 

@@ -32,6 +32,28 @@ A cut goal is not a limit: ``Exhausted`` means no proof exists in the tree
 once repeats are cut, which by this argument means no proof at all, even
 where the uncut tree would have run into the depth limit.
 
+Failure propagation is the solved/unsolvable labelling of AND-OR search
+(AO*: Martelli and Montanari, "Additive AND/OR graphs", 1973).  A goal
+*fails* once it has been expanded in full (not cut short by a limit or a
+proof), matches no statement premise, and all its rule nodes have failed;
+a rule node fails once any of its child goals fails; a closed goal cut by
+the loop check fails unless it matches a premise.  A goal at the depth cap
+is never expanded, so it never fails.  A failed node has no proof in the
+tree once repeats are cut, by induction in the order nodes fail: the cut
+tree proves a cut goal only by a premise leaf, an expanded goal that
+matches no premise only through one of its rule nodes, all of which exist
+and have failed, and a failed rule node has a child with no proof.  By the
+loop check's argument a proof of the root, if any, lies in the cut tree,
+so it passes through no failed node.  Hence a popped goal under a failed
+rule node is dropped unexpanded (and is not a goal the depth limit cut),
+and once the root fails the search ends ``Exhausted`` at once, whatever
+limits have tripped.  Failure speaks of matching premises, not of held
+leaves, so it does not depend on the certificate cap: at cap 0 every leaf
+is refused, yet a goal that matches a premise still never fails.  One walk
+up the ancestor path per popped goal serves both the loop check and the
+failed-ancestor check, and the bookkeeping lives in ``run``, outside
+expansion.
+
 Tuples of sibling certificates are enumerated incrementally: each new
 certificate is crossed against the already-present certificates of the other
 children, so every tuple is tested at most once and yields at most one
@@ -221,6 +243,11 @@ class SearchState:
         self.certs_capped = False
         # variant key -> (first goal's replaceable variables, its rule node or None per assertion)
         self.expansions = {}
+        # failure propagation: goal expanded in full -> its rule nodes not
+        # failed; the failed rule nodes; the goals that match a premise
+        self.live = {}
+        self.failed = set()
+        self.premised = set()
 
         self.root = self._new_goal(statement.goal, depth=0, parent=None)
 
@@ -293,6 +320,7 @@ def seed_leaf_spts(state: SearchState, goal_id: int) -> None:
         sigma = match_expression(goal.expression, premise)
         if sigma is None:
             continue
+        state.premised.add(goal_id)  # such a goal never fails, even if the cap refuses its leaf
         if any(state.certs[c].rule is None and state.certs[c].label == sigma for c in goal.certs):
             continue
         cid = state._add_cert(goal_id, None, sigma, ())
@@ -509,8 +537,13 @@ def extract_proof(state: SearchState, cert_id: int) -> ProofNode:
 def run(state: SearchState, limits: SearchLimits) -> SearchOutcome:
     """Alternate FIFO goal expansion with eager certificate propagation until
     the root is certified, the tree is exhausted, or a limit trips.  A
-    closed goal that repeats an ancestor is dropped unexpanded (see the
-    module docstring)."""
+    closed goal that repeats an ancestor, and a goal under a failed rule
+    node, are dropped unexpanded; a failed root ends the search
+    ``Exhausted`` (see the module docstring)."""
+    if not limits.max_nodes >= 1:
+        raise ValueError(
+            f"max_nodes must be >= 1, since the root goal is a node, not {limits.max_nodes!r}"
+        )
     state.limits = limits
     started = time.monotonic()
     state.deadline = started + limits.timeout
@@ -540,24 +573,59 @@ def run(state: SearchState, limits: SearchLimits) -> SearchOutcome:
             return finish(Exhausted(state.stats))
         goal_id = state.queue.popleft()
         goal = state.goals[goal_id]
-        if _repeats_ancestor(state, goal):
-            state._emit("LOOP e{}", goal_id)
+        cut = _cut(state, goal)
+        if cut == "failed":
             continue
-        if goal.depth >= limits.max_depth:
+        if cut == "loop":
+            state._emit("LOOP e{}", goal_id)
+        elif goal.depth >= limits.max_depth:
             depth_capped = True
             continue
-        expand_enode(state, goal_id)
+        else:
+            expand_enode(state, goal_id)
+            if state.proved is not None or state.limit_hit is not None:
+                continue  # cut short: the goal may not fail
+            state.live[goal_id] = len(goal.children)  # none has failed yet
+            if goal.children:
+                continue
+        if _fail(state, goal_id):
+            return finish(Exhausted(state.stats))
 
 
-def _repeats_ancestor(state: SearchState, goal: GoalNode) -> bool:
-    """Whether a closed goal equals a goal on its ancestor path (goal, parent
-    rule, that rule's goal, up to the root).  Open goals are never cut."""
-    if goal.scope:
-        return False
+def _cut(state: SearchState, goal: GoalNode) -> Optional[str]:
+    """One walk up the goal's ancestor path (parent rule, that rule's goal,
+    up to the root), nearest first: ``"failed"`` at a failed rule node,
+    ``"loop"`` at a goal that a closed goal equals, None if neither occurs.
+    Open goals are never loop-cut."""
+    closed = not goal.scope
+    failed = state.failed
+    if not (closed or failed):
+        return None
     rule_id = goal.parent
     while rule_id is not None:
+        if rule_id in failed:
+            return "failed"
         ancestor = state.goals[state.rules[rule_id].parent]
-        if ancestor.expression == goal.expression:
-            return True
+        if closed and ancestor.expression == goal.expression:
+            return "loop"
         rule_id = ancestor.parent
+    return None
+
+
+def _fail(state: SearchState, goal_id: int) -> bool:
+    """Fail the goal unless it matches a premise, and carry the failure up:
+    its parent rule node fails, and so does that node's goal once it has no
+    live rule node left, unless it matches a premise.  True when the root
+    fails."""
+    while goal_id not in state.premised:
+        rule_id = state.goals[goal_id].parent
+        if rule_id is None:
+            return True
+        if rule_id in state.failed:
+            return False
+        state.failed.add(rule_id)
+        goal_id = state.rules[rule_id].parent
+        state.live[goal_id] -= 1
+        if state.live[goal_id]:
+            return False
     return False

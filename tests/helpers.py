@@ -359,7 +359,7 @@ def parse_expression(g, kind, tokens, chart=_Chart):
         raise NoParseError(f"cannot parse {' '.join(tokens)!r} as kind {kind!r}")
     if len(trees) > 1:
         raise AmbiguousParseError(
-            f"{' '.join(tokens)!r} has {len(trees)} parse trees as kind {kind!r}"
+            f"{' '.join(tokens)!r} is ambiguous as kind {kind!r}: at least 2 parse trees"
         )
     return trees[0]
 
@@ -385,7 +385,7 @@ def reference_parse_any_kind(g, tokens):
     if not found:
         raise NoParseError(f"cannot parse {' '.join(toks)!r} under any kind")
     if len(found) > 1:
-        raise AmbiguousParseError(f"{' '.join(toks)!r} has {len(found)} parse trees")
+        raise AmbiguousParseError(f"{' '.join(toks)!r} is ambiguous: at least 2 parse trees")
     return found[0]
 
 

@@ -185,7 +185,10 @@ def test_criterion_4_generality(completeness_runs):
 
 
 def test_exhausted_goal_is_not_derived(corpus_searches, oracle_results):
-    # with closed repeats cut, Exhausted claims that no proof exists at all
+    # with closed repeats cut and failure propagated, Exhausted claims that
+    # no proof exists at all, also where the search stopped at a failed root
+    # before its queue ran dry (636 of the 1,000 searches; without failure
+    # propagation 71 of them end LimitReached)
     exhausted = derived = 0
     for (_, s, _, outcome), (_, s2, sat) in zip(corpus_searches, oracle_results, strict=True):
         assert s.id == s2.id and s.goal == s2.goal

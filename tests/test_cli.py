@@ -1,11 +1,12 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from plf import load_system, parse_proof, serialize_proof
+from plf import AmbiguousParseError, load_system, parse_proof, serialize_proof
 from plf.cli import main
 from conftest import HILBERT_PLS
 from helpers import NAT_PLS, successor_chain_proof
@@ -111,6 +112,25 @@ def test_node_limit_below_one_is_a_usage_error(hilbert_path, capsys):
     assert [line for line in captured.err.splitlines() if "error:" in line] == [
         "plf prove: error: argument --max-nodes: must be >= 1, since the root goal is a node, not '0'"
     ]
+
+
+def test_ambiguous_sum_is_refused_at_once(tmp_path, capsys):
+    # a 40-term sum has Catalan(39), about 10**21, parse trees; the chart
+    # keeps two per entry, which is enough to call it ambiguous
+    text = (
+        'kind s\nvar x y : s\nrule atom : s ::= "a"\nrule cat : s ::= s "+" s\n'
+        'axiom join : => "x + y"\n'
+        f'statement big : => "{" + ".join(["a"] * 40)}"\n'
+    )
+    started = time.monotonic()
+    with pytest.raises(AmbiguousParseError, match="is ambiguous: at least 2 parse trees"):
+        load_system(text)
+    assert time.monotonic() - started < 1.0
+    path = tmp_path / "sum.pls"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "prove", str(path), "--statement", "big")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 6: ") and err.endswith("is ambiguous: at least 2 parse trees\n")
 
 
 def test_limit_that_is_no_number_names_its_type(hilbert_path, capsys):

@@ -291,7 +291,8 @@ def test_chart_equals_reference_chart_random(hilbert, class_set):
                 for _ in range(mutations):
                     tokens = _mutate(rng, tokens, vocabulary)
                 for k in g.kinds:
-                    assert parse_all(g, k, tokens) == reference_parse_all(g, k, tokens), tokens
+                    # the chart keeps the first two of the reference's trees
+                    assert parse_all(g, k, tokens) == reference_parse_all(g, k, tokens)[:2], tokens
                     assert _outcome(parse_expression, g, k, tokens) == _outcome(
                         reference_parse_expression, g, k, tokens
                     ), tokens

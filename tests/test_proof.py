@@ -335,7 +335,7 @@ def test_ambiguity_reported_at_first_ambiguous_text(monkeypatch):
         '(step "a + a" by join with { x := "a" ; y := "a + a + a" } from\n'
         '  (hyp "a + a + a + a"))\n'
     )
-    message = re.escape("'a + a + a' has 2 parse trees")
+    message = re.escape("'a + a + a' is ambiguous: at least 2 parse trees")
     with pytest.raises(AmbiguousParseError, match=message):
         parse_proof(text, d)
     with pytest.raises(AmbiguousParseError, match=message):

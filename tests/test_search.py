@@ -366,13 +366,13 @@ def _counting_builds(monkeypatch):
 
 def test_search_without_certificates_builds_no_looked_up_node(monkeypatch):
     built = _counting_builds(monkeypatch)
-    d = corpus(CORPUS_SEED, 101)[100]
+    d = corpus(CORPUS_SEED, 152)[151]
     state = init_search(d, d.statement("s0"))
     out = run(state, SEARCH_LIMITS)
     assert isinstance(out, LimitReached) and out.limit == "nodes"
     assert state.certs == {}
     assert built == []
-    # 1,320 of its 1,333 rule nodes were made by lookup
+    # 1,407 of its 1,422 rule nodes were made by lookup
     assert sum(r.lookup is not None for r in state.rules.values()) > len(state.rules) / 2
 
 
@@ -396,7 +396,9 @@ def test_searches_build_only_the_looked_up_nodes_they_read(monkeypatch, hilbert)
     assert isinstance(run(state, SearchLimits(max_depth=6)), Proved)
     assert _built_as_read(state, built) and built
     unbuilt = 0
-    for d in corpus(CORPUS_SEED, 40):  # no search of this slice trips the cap
+    # no search of this slice trips the cap; with failed subtrees dropped,
+    # 40 systems leave too few looked-up nodes unbuilt
+    for d in corpus(CORPUS_SEED, 60):
         for s in d.statements:
             built.clear()
             state = init_search(d, d.statement(s.id))
@@ -410,7 +412,7 @@ def test_every_looked_up_rule_node_builds_as_the_reference_expands(monkeypatch):
     # field builds them, and each must pass the edge check and equal the node
     # the reference expansion made, flags included
     deferred = 0
-    for d in corpus(CORPUS_SEED, 40):
+    for d in corpus(CORPUS_SEED, 60):
         for s in d.statements:
             with monkeypatch.context() as m:
                 m.setattr(plf.search, "expand_enode", reference_expand_enode)
@@ -583,20 +585,30 @@ def test_full_node_stops_crossing_on_syld():
     assert out.stats.tuples_tested < 5000  # 17,808 when every tuple is crossed
 
 
-# Goal k is proved by up from two goals h, each of which h1, h2 and h3 prove
-# outright, so the rule node of up crosses 3 x 3 tuples that all unify; goal
-# n is never proved, so the search cannot end Proved.
+# The open goal k x#0 is proved by up from two goals h y#1 and h z#1, each of
+# which h1, h2 and h3 prove outright, so the rule node of up crosses 3 x 3
+# tuples that all unify, and each certificate binds x#0 to its own pair.  Its
+# sibling n x#0 is proved only with x#0 := d, which no pair reconciles with:
+# top crosses every certificate of k against it in vain.  So the search
+# cannot end Proved, yet every goal holds a certificate and no node fails.
 NINE_TUPLES = """\
 kind wff
+var x y z : wff
 rule g : wff ::= "g"
-rule k : wff ::= "k"
-rule n : wff ::= "n"
-rule h : wff ::= "h"
-axiom h1 : => "h"
-axiom h2 : => "h"
-axiom h3 : => "h"
-axiom up : "h" "h" => "k"
-axiom top : "k" "n" => "g"
+rule k : wff ::= "k" wff
+rule n : wff ::= "n" wff
+rule h : wff ::= "h" wff
+rule a : wff ::= "a"
+rule b : wff ::= "b"
+rule c : wff ::= "c"
+rule d : wff ::= "d"
+rule pair : wff ::= "(" wff "," wff ")"
+axiom h1 : => "h a"
+axiom h2 : => "h b"
+axiom h3 : => "h c"
+axiom up : "h y" "h z" => "k ( y , z )"
+axiom nd : => "n d"
+axiom top : "k x" "n x" => "g"
 statement s : => "g"
 """
 
@@ -611,13 +623,20 @@ statement s : => "g"
     ],
 )
 def test_cap_boundary_between_spts_and_exhausted(monkeypatch, cap, verdict, tested):
+    # tested counts up's tuples; top then crosses each certificate k holds
     d = load_system(NINE_TUPLES)
     limits = SearchLimits(max_depth=4, max_spts_per_node=cap, timeout=600.0)
     out, ref = _same_as_reference_crossing(monkeypatch, d, "s", limits)
     assert type(out).__name__ == verdict
     if verdict == "LimitReached":
         assert out.limit == "spts"
-    assert (out.stats.tuples_tested, ref.stats.tuples_tested) == (tested, 9)
+    held = min(cap, 9)
+    assert (out.stats.tuples_tested, ref.stats.tuples_tested) == (tested + held, 9 + held)
+    state = init_search(d, d.statement("s"))
+    run(state, limits)
+    assert state.failed == set()
+    k = state.goals[state.rules[0].children[0]]
+    assert k.scope and len({state.certs[c].label for c in k.certs}) == held
 
 
 def test_propagation_clash_skipped():
@@ -790,6 +809,19 @@ def test_open_repeat_of_an_ancestor_is_expanded():
 _STOP_ORDER = {"nodes": 0, "timeout": 0, "depth": 1, "spts": 2, None: 3}
 
 
+def _ancestor_rules(state, goal_id):
+    rule_id = state.goals[goal_id].parent
+    while rule_id is not None:
+        yield rule_id
+        rule_id = state.goals[state.rules[rule_id].parent].parent
+
+
+def _failed_ancestor_only(state, goal):
+    """``plf.search._cut`` without the loop check: a goal is dropped only
+    under a failed rule node."""
+    return None if state.failed.isdisjoint(_ancestor_rules(state, goal.id)) else "failed"
+
+
 def test_loop_check_keeps_proofs_and_only_improves_verdicts(monkeypatch):
     cases = [(HARD_HILBERT, sid, SearchLimits(max_depth=8, max_spts_per_node=20, timeout=600.0))
              for sid in ("syld", "imim1", "syl5")]
@@ -799,7 +831,7 @@ def test_loop_check_keeps_proofs_and_only_improves_verdicts(monkeypatch):
     for d, sid, limits in cases:
         out = run(init_search(d, d.statement(sid)), limits)
         with monkeypatch.context() as m:
-            m.setattr(plf.search, "_repeats_ancestor", lambda state, goal: False)
+            m.setattr(plf.search, "_cut", _failed_ancestor_only)
             uncut = run(init_search(d, d.statement(sid)), limits)
         if isinstance(uncut, Proved) or isinstance(out, Proved):
             assert isinstance(uncut, Proved) and isinstance(out, Proved), sid
@@ -809,3 +841,110 @@ def test_loop_check_keeps_proofs_and_only_improves_verdicts(monkeypatch):
         assert _STOP_ORDER[after] >= _STOP_ORDER[before], (sid, before, after)
         changed += before != after
     assert changed > 0
+
+
+def test_node_limit_below_one_is_refused(hilbert):
+    # the root goal is a node, so a search under max_nodes=0 would break it
+    with pytest.raises(ValueError, match="max_nodes must be >= 1"):
+        run(init_search(hilbert, hilbert.statement("id")), SearchLimits(max_nodes=0))
+
+
+# g needs n and k (top) or w (alt); n has no assertion, so top fails as soon
+# as n is expanded, and k, under it, is never expanded.  w leads down a chain
+# w <= v <= u, and u has no assertion either.
+FAILS = """\
+kind wff
+rule g : wff ::= "g"
+rule n : wff ::= "n"
+rule k : wff ::= "k"
+rule m : wff ::= "m"
+rule w : wff ::= "w"
+rule v : wff ::= "v"
+rule u : wff ::= "u"
+axiom top : "n" "k" => "g"
+axiom alt : "w" => "g"
+axiom km : "m" => "k"
+axiom wv : "v" => "w"
+axiom vu : "u" => "v"
+statement s : => "g"
+"""
+
+
+@pytest.mark.parametrize("depth", [3, 4])
+def test_goal_at_the_depth_cap_never_fails(depth):
+    # at depth 3, u sits at the cap: it is not expanded and does not fail, so
+    # alt and g stay live and the verdict names the depth limit; at depth 4,
+    # u is expanded, has no rule node, and its failure reaches the root
+    d = load_system(FAILS)
+    lines = []
+    state = init_search(d, d.statement("s"), trace=lines.append)
+    out = run(state, SearchLimits(max_depth=depth, timeout=5))
+    assert state.failed >= {0}  # top, failed by n
+    if depth == 3:
+        assert isinstance(out, LimitReached) and out.limit == "depth"
+        assert state.failed == {0}
+    else:
+        assert isinstance(out, Exhausted)
+        assert state.failed == {0, 1, 2, 3}  # top, alt, wv, vu
+    # n is e1, k is e2, w is e3, v is e4 and u is e5; k is dropped, under top
+    expanded = [l for l in lines if l.startswith("EXPAND")]
+    assert expanded == ["EXPAND e0", "EXPAND e1", "EXPAND e3", "EXPAND e4", "EXPAND e5"][: depth + 1]
+
+
+def test_no_goal_under_a_failed_rule_node_is_expanded(monkeypatch):
+    expand = plf.search.expand_enode
+    expanded = [0, 0]  # without failure propagation, with it
+
+    def counted(state, goal_id):
+        assert state.failed.isdisjoint(_ancestor_rules(state, goal_id))
+        expanded[propagating] += 1
+        expand(state, goal_id)
+
+    monkeypatch.setattr(plf.search, "expand_enode", counted)
+    failed = 0
+    for d in corpus(CORPUS_SEED, 40):
+        for s in d.statements:
+            for propagating in (0, 1):
+                with monkeypatch.context() as m:
+                    if not propagating:
+                        m.setattr(plf.search, "_fail", lambda state, goal_id: False)
+                    state = init_search(d, d.statement(s.id))
+                    run(state, SEARCH_LIMITS)
+            failed += len(state.failed)
+    # 1,027 expansions without failure propagation and 436 with it, which
+    # fails 168 rule nodes
+    assert expanded[1] < expanded[0] / 2 and failed > 100
+
+
+def test_no_certificate_passes_through_a_failed_node():
+    # a failed rule node has a child that never holds a certificate, so no
+    # certificate is derived there, and no proof found, whose certificates
+    # are among these, passes through one
+    proved = failed = 0
+    for d in corpus(CORPUS_SEED, CORPUS_SYSTEMS):
+        for s in d.statements:
+            state = init_search(d, d.statement(s.id))
+            proved += isinstance(run(state, SEARCH_LIMITS), Proved)
+            failed += len(state.failed)
+            assert all(c.rule not in state.failed for c in state.certs.values())
+    assert proved > 300 and failed > 1000
+
+
+def test_failure_is_sound_at_small_caps():
+    # a goal fails only if it matches no premise, whatever the cap keeps: at
+    # cap 0 every leaf is refused, and failing the goals that hold no leaf
+    # would end searches Exhausted that prove at a larger cap
+    systems = corpus(CORPUS_SEED, CORPUS_SYSTEMS)
+    proved_above = set()
+    checked = 0
+    for cap in (1000, 120, 1, 0):
+        limits = dataclasses.replace(SEARCH_LIMITS, max_spts_per_node=cap, timeout=600.0)
+        for i, d in enumerate(systems):
+            for s in d.statements:
+                out = run(init_search(d, d.statement(s.id)), limits)
+                if (i, s.id) in proved_above:
+                    assert not isinstance(out, Exhausted), (cap, i, s.id)
+                    checked += 1
+                if isinstance(out, Proved):
+                    proved_above.add((i, s.id))
+    assert checked > 3 * 300
