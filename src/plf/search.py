@@ -54,19 +54,25 @@ up the ancestor path per popped goal serves both the loop check and the
 failed-ancestor check, and the bookkeeping lives in ``run``, outside
 expansion.
 
-Tuples of sibling certificates are enumerated incrementally: each new
-certificate is crossed against the already-present certificates of the other
-children, so every tuple is tested at most once and yields at most one
-certificate; a premise-less rule node gets exactly one.  Only a premise leaf
-can repeat (a statement may list a premise twice), and seeding skips a label
-its goal already holds as a leaf.  A rule node that is full after the
-certificate cap has tripped crosses no more tuples, since none of them could
-add a certificate; ``tuples_tested`` counts only the tuples crossed.
-Propagation keeps one explicit stack of crossings: a crossing is
-suspended at each rule certificate it yields until that certificate has
-finished climbing, which is the depth-first order of recursion without its
-depth limit.  Expansion is FIFO over goal creation, which keeps the search
-fair within its limits.
+Certificates pass through one agenda.  Seeding (a premise leaf) and a
+premise-less rule node only queue theirs on ``state.agenda``;
+``propagate_anode`` alone holds them at goals, carries them up and crosses
+them (``_cross``), in agenda order.  Expansion drains the agenda after each
+rule node, so a proof ends its expansion before the next assertion is
+unified or weighed against the node limit: a drain per goal would grow the
+tree further or, stopping at the node limit, drop certificates already due.
+Each new certificate is crossed against the certificates already present at
+the other children, so every tuple is tested at most once and yields at most
+one certificate; a premise-less rule node gets exactly one.  The premises
+are kept deduplicated and each goal is seeded once, so no leaf repeats.  A
+rule node that is full after the certificate cap has tripped crosses no more
+tuples, since none could add a certificate; ``tuples_tested`` counts only
+the tuples crossed.  A crossing waits on an explicit stack at each
+certificate it yields until that one has finished climbing, the depth-first
+order of recursion without its depth limit.  Expansion is FIFO over goal
+creation, which keeps the search fair within its limits.  The deadline is
+read before each crossed tuple and each popped goal: no tuple is crossed
+after it, though the current expansion may finish its other assertions.
 
 Expansion is by lookup: most goals are variants of an earlier goal of the
 same search (equal up to renaming replaceable variables).  The first of a
@@ -229,17 +235,18 @@ class SearchState:
     def __init__(self, system, statement, trace=None):
         self.system = system
         self.statement = statement
+        self.premises = tuple(dict.fromkeys(statement.premises))  # distinct, so leaves never repeat
         self.goals = {}
         self.rules = {}
         self.certs = {}
         self.queue = deque()
+        self.agenda = deque()  # (goal, rule or None, label) of certificates made but not yet held
         self.supply = FreshSupply()
         self.stats = SearchStats()
         self.limits = SearchLimits()
         self.deadline = math.inf  # time.monotonic() value; run() sets it
         self.trace: Optional[Callable] = trace
         self.proved: Optional[int] = None
-        self.limit_hit: Optional[str] = None
         self.certs_capped = False
         # variant key -> (first goal's replaceable variables, its rule node or None per assertion)
         self.expansions = {}
@@ -275,6 +282,7 @@ class SearchState:
         if not self._hold(cert, rule_id is not None):
             return None
         self.certs[cert.id] = cert
+        self.stats.certificates += 1
         return cert.id
 
     def _hold(self, cert, at_rule) -> bool:
@@ -285,7 +293,6 @@ class SearchState:
             self.certs_capped = True
             return False
         holder.certs.append(cert.id)
-        self.stats.certificates += 1
         if self.trace is not None:
             node = f"{'a' if at_rule else 'e'}{holder.id}"
             if cert.rule is None:
@@ -304,46 +311,40 @@ class SearchState:
 
 def init_search(d: DeductiveSystem, s: Statement, trace: Optional[Callable] = None) -> SearchState:
     """Fresh state: one root goal (the statement's goal, variables frozen),
-    no certificates, FIFO queue holding the root."""
+    seeded, so its premise leaves wait on the agenda for ``run``; no
+    certificates yet, and a FIFO queue holding the root."""
     d.statement(s.id)  # raises UnknownStatementError when s is foreign
     state = SearchState(d, s, trace=trace)
+    seed_leaf_spts(state, state.root)
     state.queue.append(state.root)
     return state
 
 
 def seed_leaf_spts(state: SearchState, goal_id: int) -> None:
-    """Match the goal expression against each statement premise; every match
-    yields a leaf certificate (the goal is trivially provable there), unless
-    the goal already holds a leaf with that label."""
-    goal = state.goals[goal_id]
-    for premise in state.statement.premises:
-        sigma = match_expression(goal.expression, premise)
-        if sigma is None:
-            continue
-        state.premised.add(goal_id)  # such a goal never fails, even if the cap refuses its leaf
-        if any(state.certs[c].rule is None and state.certs[c].label == sigma for c in goal.certs):
-            continue
-        cid = state._add_cert(goal_id, None, sigma, ())
-        if cid is None:
-            continue
-        propagate_anode(state, cid)
-        if state.proved is not None:
-            break
+    """Match the goal expression against each distinct statement premise;
+    every match queues a leaf certificate (the goal is trivially provable
+    there) on the agenda.  Each goal is seeded once, when it is made."""
+    expression = state.goals[goal_id].expression
+    for premise in state.premises:
+        sigma = match_expression(expression, premise)
+        if sigma is not None:
+            state.premised.add(goal_id)  # such a goal never fails, even if the cap refuses its leaf
+            state.agenda.append((goal_id, None, sigma))
 
 
-def expand_enode(state: SearchState, goal_id: int) -> None:
+def expand_enode(state: SearchState, goal_id: int) -> bool:
     """Fork the goal with every assertion whose renamed proposition unifies
     with its expression; instantiate premises as child goals, seed them, and
-    schedule them FIFO.  A goal whose variant class has been expanded in full
-    maps that expansion onto itself instead of renaming and unifying again."""
+    schedule them FIFO, draining the agenda after each rule node.  A goal
+    whose variant class has been expanded in full maps that expansion onto
+    itself instead of renaming and unifying again.  False when the node
+    limit stops the expansion."""
     goal = state.goals[goal_id]
     state._emit("EXPAND e{}", goal_id)
     key, variables = _variant_key(goal.expression)
     first = state.expansions.get(key)
     record = []  # on a miss, per assertion: its rule node, or None
     for i, a in enumerate(state.system.assertions):
-        if state.proved is not None or state.limit_hit is not None:
-            break
         if first is None:
             renamed, rename = rename_assertion(a, state.supply)
             theta = unify_expressions(renamed.proposition, goal.expression)
@@ -371,29 +372,26 @@ def expand_enode(state: SearchState, goal_id: int) -> None:
                 for kid in map(state.goals.__getitem__, source.children)
             ]
         if state.stats.nodes + 1 + len(kids) > state.limits.max_nodes:
-            state.limit_hit = "nodes"
-            break
+            return False  # cut short: not recorded
         rid = state._new_rule(renamed, rename, theta, goal_id, lookup)
         record.append(rid)
         rule = state.rules[rid]
         if state.trace is not None:
             state._emit("ANODE a{} {} {}", rid, a.id, rule.edge_unifier)
-        if not kids:
-            label = restrict(rule.edge_unifier, goal.scope)  # com of the empty tuple set is empty
-            cid = state._add_cert(goal_id, rid, label, ())
-            if cid is not None:
-                propagate_anode(state, cid)
-            continue
-        depth = goal.depth + 1
-        rule.children = [state._new_goal(e, depth, rid, scope) for e, scope in kids]
-        for kid in rule.children:
-            seed_leaf_spts(state, kid)
-            if state.proved is not None:
-                break
-        state.queue.extend(rule.children)
-    else:
-        if first is None:  # a cut-short expansion is not recorded
-            state.expansions[key] = (variables, record)
+        if kids:
+            depth = goal.depth + 1
+            rule.children = [state._new_goal(e, depth, rid, scope) for e, scope in kids]
+            for kid in rule.children:
+                seed_leaf_spts(state, kid)
+            state.queue.extend(rule.children)
+        else:  # com of the empty tuple set is empty
+            state.agenda.append((goal_id, rid, restrict(rule.edge_unifier, goal.scope)))
+        propagate_anode(state)
+        if state.proved is not None:
+            return True  # cut short: not recorded
+    if first is None:
+        state.expansions[key] = (variables, record)
+    return True
 
 
 def _variant_key(expression) -> tuple:
@@ -434,30 +432,34 @@ def _build_rule(rule: RuleNode) -> None:
     assert apply(theta, prop) == apply(theta, goal_expression)
 
 
-def propagate_anode(state: SearchState, cert_id: int) -> None:
-    """Carry a new certificate up the tree: one derived at a rule node is
-    put on its goal's list too, unless the goal is full, and a goal's new
+def propagate_anode(state: SearchState) -> None:
+    """Drain the agenda in order, carrying each certificate up the tree
+    before the next is made: it is held by its rule node or, for a premise
+    leaf, by its goal, unless that node is full; one derived at a rule node
+    is put on its goal's list too, unless the goal is full; and a goal's new
     certificate is crossed at the goal's parent rule node.  Reaching the
-    root proves the statement; after that, or once a limit trips, no
-    suspended crossing is resumed."""
+    root proves the statement, and then nothing more is held or crossed."""
     crossings = []
-    new = cert_id
     while True:
-        if new is not None:
-            cert = state.certs[new]
-            if cert.rule is not None and not state._hold(cert, False):
-                new = None
+        if crossings:
+            new = next(crossings[-1], None)
+            if new is None:
+                crossings.pop()
                 continue
-            if cert.goal == state.root:
-                state.proved = new
-                state._emit("PROVED e{}", state.root)
-                return
-            crossings.append(_cross(state, state.goals[cert.goal].parent, new))
-        elif state.limit_hit is not None or not crossings:
+        elif state.agenda:
+            new = state._add_cert(*state.agenda.popleft(), ())
+            if new is None:
+                continue
+        else:
             return
-        new = next(crossings[-1], None)
-        if new is None:
-            crossings.pop()
+        cert = state.certs[new]
+        if cert.rule is not None and not state._hold(cert, False):
+            continue
+        if cert.goal == state.root:
+            state.proved = new
+            state._emit("PROVED e{}", state.root)
+            return
+        crossings.append(_cross(state, state.goals[cert.goal].parent, new))
 
 
 def _cross(state: SearchState, rule_id: int, trigger: int):
@@ -483,7 +485,6 @@ def _cross(state: SearchState, rule_id: int, trigger: int):
         if state.certs_capped and len(rule.certs) >= cap:
             return  # the node can fill partway through the product
         if time.monotonic() > state.deadline:
-            state.limit_hit = "timeout"
             return
         state.stats.tuples_tested += 1
         outcome = unify_substitutions([state.certs[c].label for c in combo])
@@ -552,15 +553,13 @@ def run(state: SearchState, limits: SearchLimits) -> SearchOutcome:
         state.stats.wall_time = time.monotonic() - started
         return outcome
 
-    seed_leaf_spts(state, state.root)  # a no-op after the first call: leaves are not repeated
+    propagate_anode(state)  # the root's leaves; a no-op after the first call
 
     depth_capped = False
     while True:
         if state.proved is not None:
             proof = extract_proof(state, state.proved)
             return finish(Proved(proof, state.stats))
-        if state.limit_hit is not None:
-            return finish(LimitReached(state.limit_hit, state.stats))
         if time.monotonic() > state.deadline:
             return finish(LimitReached("timeout", state.stats))
         if not state.queue:
@@ -582,11 +581,10 @@ def run(state: SearchState, limits: SearchLimits) -> SearchOutcome:
             depth_capped = True
             continue
         else:
-            expand_enode(state, goal_id)
-            if state.proved is not None or state.limit_hit is not None:
-                continue  # cut short: the goal may not fail
+            if not expand_enode(state, goal_id):
+                return finish(LimitReached("nodes", state.stats))
             state.live[goal_id] = len(goal.children)  # none has failed yet
-            if goal.children:
+            if goal.children:  # as it has when a proof cut the expansion short
                 continue
         if _fail(state, goal_id):
             return finish(Exhausted(state.stats))

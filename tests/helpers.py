@@ -471,7 +471,6 @@ def reference_propagate_anode(state, rule_id, trigger):
     edge = rule.edge_unifier
     for combo in product(*pools):
         if time.monotonic() > state.deadline:
-            state.limit_hit = "timeout"
             return
         state.stats.tuples_tested += 1
         outcome = unify_substitutions([state.certs[c].label for c in combo])
@@ -514,8 +513,9 @@ def certificate_problems(state):
 # -- reference expansion -----------------------------------------------------
 # Goal expansion as the search did it before it looked expansions up by
 # variant class: every goal renames every assertion afresh and unifies it.
-# Kept only as the oracle of the differential tests in test_search.py, which
-# monkeypatch it over plf.search.expand_enode.
+# Like the search, it queues certificates on the agenda and drains it after
+# each rule node.  Kept only as the oracle of the differential tests in
+# test_search.py, which monkeypatch it over plf.search.expand_enode.
 
 
 def reference_expand_enode(state, goal_id):
@@ -527,23 +527,17 @@ def reference_expand_enode(state, goal_id):
     if state.trace is not None:
         state.trace(f"EXPAND e{goal_id}")
     for a in state.system.assertions:
-        if state.proved is not None or state.limit_hit is not None:
-            break
         renamed, rename = rename_assertion(a, state.supply)
         theta = unify_expressions(renamed.proposition, goal.expression)
         if theta is None:
             continue
         if state.stats.nodes + 1 + len(renamed.premises) > state.limits.max_nodes:
-            state.limit_hit = "nodes"
-            break
+            return False
         rid = state._new_rule(renamed, rename, theta, goal_id)
         if state.trace is not None:
             state.trace(f"ANODE a{rid} {a.id} {substitution_text(theta)}")
         if not renamed.premises:
-            cid = state._add_cert(goal_id, rid, restrict(theta, goal.scope), ())
-            if cid is not None:
-                propagate_anode(state, cid)
-            continue
+            state.agenda.append((goal_id, rid, restrict(theta, goal.scope)))
         kids = []
         for p in renamed.premises:
             e = apply(theta, p)
@@ -552,9 +546,11 @@ def reference_expand_enode(state, goal_id):
         state.rules[rid].children = kids
         for kid in kids:
             seed_leaf_spts(state, kid)
-            if state.proved is not None:
-                break
         state.queue.extend(kids)
+        propagate_anode(state)
+        if state.proved is not None:
+            return True
+    return True
 
 
 # The grounding the oracle used before its plans compiled builders: every

@@ -129,7 +129,7 @@ def test_seed_exact_premise_is_empty_substitution():
         'statement s : "p" => "p"\n'
     )
     state = fresh_state(d, "s")
-    seed_leaf_spts(state, state.root)
+    propagate_anode(state)  # init_search seeded the root
     created = state.goals[state.root].certs
     assert len(created) == 1
     assert state.certs[created[0]].label == EMPTY
@@ -234,8 +234,6 @@ def test_timeout_holds_inside_crossing(monkeypatch):
     out = run(state, SearchLimits(max_depth=8, max_spts_per_node=20, timeout=60.0))
     assert isinstance(out, LimitReached)
     assert out.limit == "timeout"
-    # only the crossing sets limit_hit on a timeout; run()'s own check does not
-    assert state.limit_hit == "timeout"
     assert tested_when_passed and tested_when_passed[0] > 0
     assert state.stats.tuples_tested - tested_when_passed[0] <= 1
 
@@ -451,13 +449,11 @@ def test_cut_short_expansion_is_not_recorded(hilbert):
     # MP alone unifies with ( p -> p ) and needs three more nodes
     state = fresh_state(hilbert, "id")
     state.limits = SearchLimits(max_nodes=3)
-    expand_enode(state, state.root)
+    assert expand_enode(state, state.root) is False
     assert state.goals[state.root].children == []
-    assert state.limit_hit == "nodes"
     assert state.expansions == {}
     state.limits = SearchLimits(max_nodes=4)
-    state.limit_hit = None
-    expand_enode(state, state.root)
+    assert expand_enode(state, state.root) is True
     assert len(state.goals[state.root].children) == 1
     assert len(state.expansions) == 1
 
@@ -544,11 +540,11 @@ def _certificate_invariants(state):
     no rule node derives two from one tuple, a derived label speaks only of
     its goal, and a goal holds only its own leaves and its rule children's
     certificates.  Every node keeps to the cap.  Returns the number of
-    certificates held."""
-    held = 0
+    distinct certificates held."""
+    held = set()
     for node in (*state.goals.values(), *state.rules.values()):
         assert len(set(node.certs)) == len(node.certs) <= state.limits.max_spts_per_node
-        held += len(node.certs)
+        held.update(node.certs)
     for rule in state.rules.values():
         tuples = [state.certs[c].children for c in rule.certs]
         assert len(set(tuples)) == len(tuples)
@@ -562,7 +558,7 @@ def _certificate_invariants(state):
             cert = state.certs[c]
             assert cert.goal == goal.id
             assert cert.rule is None or cert.rule in goal.children
-    return held
+    return len(held)
 
 
 def test_certificate_invariants_hold():
@@ -648,15 +644,10 @@ def test_propagation_clash_skipped():
     minor_goal = state.goals[mp.children[0]]  # bare ph#0
     before = len(mp.certs)
     tested_before = state.stats.tuples_tested
-    # hand-plant a clashing leaf certificate on the minor premise: ph#0 := q
-    # cannot be reconciled with the major's ph#0 := p
-    cid = state._add_cert(
-        minor_goal.id,
-        None,
-        Substitution({g.variable("ph#0"): freeze_expression(expr(d, "q"))}),
-        (),
-    )
-    propagate_anode(state, cid)
+    # plant a clashing leaf certificate for the minor premise on the agenda:
+    # ph#0 := q cannot be reconciled with the major's ph#0 := p
+    state.agenda.append((minor_goal.id, None, Substitution({g.variable("ph#0"): freeze_expression(expr(d, "q"))})))
+    propagate_anode(state)
     assert state.stats.tuples_tested > tested_before
     assert len(mp.certs) == before
 
@@ -741,18 +732,21 @@ def test_extracted_proof_is_more_general_than_instance(hilbert):
     assert substitute_proof(delta, out.proof) == textbook
 
 
-def test_duplicate_certificates_are_not_readded():
-    # the only certificates that can repeat are premise leaves: a replayed
-    # seeding, or a statement that lists the same premise twice
+def test_duplicate_certificates_are_not_readded(monkeypatch):
+    # only a premise leaf could repeat, from a statement that lists the same
+    # premise twice; the search keeps the premises deduplicated
     d = load_system(SEEDED + 'statement twice : "( p -> q )" "( p -> q )" => "q"\n')
     for sid in ("s", "twice"):
         state = fresh_state(d, sid)
-        expand_enode(state, state.root)
+        with monkeypatch.context() as m:
+            m.setattr(plf.search, "propagate_anode", lambda state: None)  # expand without draining
+            expand_enode(state, state.root)
         mp = state.rules[0]
+        # one leaf per child: ph#0 := ( p -> q ) for the minor premise, ph#0 := p for the major
+        assert [(goal, rule) for goal, rule, _ in state.agenda] == [(kid, None) for kid in mp.children]
+        propagate_anode(state)
         major = state.goals[mp.children[1]]
         assert [state.certs[c].rule for c in major.certs] == [None]
-        seed_leaf_spts(state, major.id)
-        assert len(major.certs) == 1
 
 
 def test_trace_includes_premise_leaves():
@@ -843,6 +837,20 @@ def test_loop_check_keeps_proofs_and_only_improves_verdicts(monkeypatch):
     assert changed > 0
 
 
+def test_proof_at_the_node_limit_is_kept():
+    # the root forks "any", whose certificate proves it at once, before "big"
+    # would need three nodes more: the certificate must be carried up before
+    # the node limit stops the expansion
+    d = load_system(
+        'kind wff\nvar ph p : wff\nrule imp : wff ::= "(" wff "->" wff ")"\n'
+        'axiom any : => "ph"\naxiom big : "ph" "ph" => "ph"\nstatement s : => "p"\n'
+    )
+    for n in (2, 3):
+        out = run(init_search(d, d.statement("s")), SearchLimits(max_nodes=n, timeout=5))
+        assert isinstance(out, Proved) and out.stats.nodes == 2
+        assert out.proof.inference.assertion_id == "any"
+
+
 def test_node_limit_below_one_is_refused(hilbert):
     # the root goal is a node, so a search under max_nodes=0 would break it
     with pytest.raises(ValueError, match="max_nodes must be >= 1"):
@@ -898,7 +906,7 @@ def test_no_goal_under_a_failed_rule_node_is_expanded(monkeypatch):
     def counted(state, goal_id):
         assert state.failed.isdisjoint(_ancestor_rules(state, goal_id))
         expanded[propagating] += 1
-        expand(state, goal_id)
+        return expand(state, goal_id)
 
     monkeypatch.setattr(plf.search, "expand_enode", counted)
     failed = 0
