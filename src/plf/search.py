@@ -17,7 +17,11 @@ Two interleaved passes over an AND-OR tree of goals:
   certifies the parent goal as it is, so the rule node and the goal hold the
   same one.  The first certificate to reach the root (whose variables are
   all frozen, so its label is empty) proves the statement, and the proof it
-  unfolds to is at least as general as any congruent proof.
+  unfolds to is at least as general as any congruent proof.  Crossing
+  builds only the label, resolving the parent's variables through the
+  triangular unifier; a certificate keeps that unifier and its first
+  child's label, and ``extract_proof`` builds the delta and the composite
+  from them for the certificates on the proof alone.
 
 Loop check (regularity): a closed goal, one without replaceable variables,
 that equals a goal on its ancestor path is not expanded.  This loses no
@@ -118,8 +122,11 @@ from .term import (
     apply,
     compose,
     match_expression,
+    resolve,
     restrict,
     substitution_text,
+    unifier_com,
+    unifier_delta,
     unify_expressions,
     unify_substitutions,
     variables_of,
@@ -224,11 +231,12 @@ class Certificate:
     rule: Optional[int]  # the rule node that derived it, None for a premise leaf
     label: Substitution
     children: tuple  # one certificate per premise of the rule node
-    # rule certificates remember how the child substitutions were reconciled;
-    # the delta is replayed over the subtree at extraction time instead of
-    # rewriting stored certificates eagerly.
-    com: Substitution = EMPTY
-    delta: Substitution = EMPTY
+    # a rule certificate keeps the triangular unifier of its children's
+    # labels and the first of them; extraction builds the reconciling delta
+    # (replayed over the subtree) and the composite com from these, for the
+    # certificates on the proof only
+    unifier: Union[dict, Substitution] = EMPTY  # EMPTY: nothing to reconcile
+    first: Substitution = EMPTY
 
 
 class SearchState:
@@ -275,10 +283,10 @@ class SearchState:
         self.goals[parent].children.append(rid)
         return rid
 
-    def _add_cert(self, goal_id, rule_id, label, children, com=EMPTY, delta=EMPTY):
+    def _add_cert(self, goal_id, rule_id, label, children, unifier=EMPTY, first=EMPTY):
         """A certificate of the goal, held by the rule node that derived it or,
         for a premise leaf (rule None), by the goal; None if the cap refuses."""
-        cert = Certificate(len(self.certs), goal_id, rule_id, label, children, com, delta)
+        cert = Certificate(len(self.certs), goal_id, rule_id, label, children, unifier, first)
         if not self._hold(cert, rule_id is not None):
             return None
         self.certs[cert.id] = cert
@@ -487,15 +495,17 @@ def _cross(state: SearchState, rule_id: int, trigger: int):
         if time.monotonic() > state.deadline:
             return
         state.stats.tuples_tested += 1
-        outcome = unify_substitutions([state.certs[c].label for c in combo])
-        if outcome is None:
+        subs = [state.certs[c].label for c in combo]
+        bound = unify_substitutions(subs)
+        if bound is None:
             continue
         state.stats.tuples_unified += 1
-        delta, com = outcome
+        first, memo = subs[0], {}
         edge = rule.edge_unifier  # read only here: most rule nodes never unify a tuple
-        # restrict(compose(com, edge), parent_scope), built over the scope only
-        label = Substitution({v: apply(com, apply(edge, v)) for v in parent_scope})
-        cid = state._add_cert(rule.parent, rule_id, label, combo, com, delta)
+        # restrict(compose(com, edge), parent_scope), built over the scope
+        # only: com maps a variable through first, then resolves it
+        label = Substitution({v: resolve(bound, memo, apply(first, apply(edge, v))) for v in parent_scope})
+        cid = state._add_cert(rule.parent, rule_id, label, combo, bound, first)
         if cid is not None:
             yield cid
 
@@ -503,9 +513,9 @@ def _cross(state: SearchState, rule_id: int, trigger: int):
 def extract_proof(state: SearchState, cert_id: int) -> ProofNode:
     """Unfold a certificate into the proof tree it denotes.
 
-    The reconciling delta recorded at each derived certificate applies to the
-    whole subtree beneath it, so an accumulator composes them along the path
-    from the root.  Witnesses are mapped back onto the assertion's original
+    The reconciling delta of each derived certificate, built from its stored
+    unifier, applies to the whole subtree beneath it, so an accumulator
+    composes them along the path from the root.  Witnesses are mapped back onto the assertion's original
     variables, which is what proof files and the checker speak.  The walk
     keeps its own stack, and the tree is built in reverse preorder.
     """
@@ -519,10 +529,10 @@ def extract_proof(state: SearchState, cert_id: int) -> ProofNode:
             steps.append((expr, None, None, 0))
             continue
         rule = state.rules[cert.rule]
-        full = compose(acc, compose(cert.com, rule.edge_unifier))
+        full = compose(acc, compose(unifier_com(cert.unifier, cert.first), rule.edge_unifier))
         witness = Substitution({orig: apply(full, fresh) for orig, fresh in rule.rename.items()})
         steps.append((expr, rule.assertion.id, witness, len(cert.children)))
-        child_acc = compose(acc, cert.delta)
+        child_acc = compose(acc, unifier_delta(cert.unifier))
         stack.extend((k, child_acc) for k in reversed(cert.children))
     done = []  # built subtrees; in reverse preorder the first child is on top
     for expr, assertion_id, witness, n in reversed(steps):

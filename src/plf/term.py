@@ -5,7 +5,8 @@ expressions.  Matching is one-way (pattern variables bind, everything else is
 rigid); unification is two-way over the replaceable variables of both sides
 with an occurs check; unification of a *set of substitutions* finds the most
 general delta making all of them coincide after composition, which is the
-engine's way of reconciling independently proved premises.
+engine's way of reconciling independently proved premises.  It is returned
+triangular, so a caller resolves only the terms it reads.
 """
 
 from __future__ import annotations
@@ -232,69 +233,66 @@ def _occurs(v: Var, t: Expression, bound: dict) -> bool:
     return False
 
 
-def _resolve(bound: dict) -> dict:
-    """Apply triangular bindings to their own images until none is left:
-    the idempotent form of the unifier, in binding order.  Each variable is
-    resolved once, by a walk that keeps its own stack of frames: a frame
+def resolve(bound: dict, memo: dict, t: Expression) -> Expression:
+    """``t`` with the triangular bindings ``bound`` applied until none is
+    left: ``apply(delta, t)`` for the idempotent unifier ``delta``.  ``memo``
+    keeps each bound variable's resolved image, so calls sharing it resolve
+    each variable once.  The walk keeps its own stack of frames: a frame
     ``[node, resolved children, changed]`` per open Apply being rebuilt, and
     ``[var, None, None]`` per bound variable whose image is being resolved."""
-    done = {}  # bound variable -> its resolved image
-    for var in bound:
-        if var in done:
-            continue
-        frames = [[var, None, None]]
-        t = bound[var]
-        while frames:
-            while True:  # down to a finished value, opening frames on the way
-                if t.__class__ is Var:
-                    if t.replaceable:
-                        value = done.get(t)
-                        if value is None:
-                            image = bound.get(t)
-                            if image is not None:
-                                frames.append([t, None, None])
-                                t = image
-                                continue
-                            value = t
-                    else:
+    frames = []
+    while True:
+        while True:  # down to a finished value, opening frames on the way
+            if t.__class__ is Var:
+                if t.replaceable:
+                    value = memo.get(t)
+                    if value is None:
+                        image = bound.get(t)
+                        if image is not None:
+                            frames.append([t, None, None])
+                            t = image
+                            continue
                         value = t
-                    break
-                if not t.open:
+                else:
                     value = t
-                    break
-                frames.append([t, [], False])
-                t = t.children[0]
-            while frames:  # up until a frame still needs a child
-                frame = frames[-1]
-                node, kids = frame[0], frame[1]
-                if kids is None:
-                    done[node] = value
-                    frames.pop()
-                    continue
-                children = node.children
-                if value is not children[len(kids)]:
-                    frame[2] = True
-                kids.append(value)
-                if len(kids) < len(children):
-                    t = children[len(kids)]
-                    break
+                break
+            if not t.open:
+                value = t
+                break
+            frames.append([t, [], False])
+            t = t.children[0]
+        while frames:  # up until a frame still needs a child
+            frame = frames[-1]
+            node, kids = frame[0], frame[1]
+            if kids is None:
+                memo[node] = value
                 frames.pop()
-                value = Apply(node.production, tuple(kids)) if frame[2] else node
-    return {var: done[var] for var in bound}
+                continue
+            children = node.children
+            if value is not children[len(kids)]:
+                frame[2] = True
+            kids.append(value)
+            if len(kids) < len(children):
+                t = children[len(kids)]
+                break
+            frames.pop()
+            value = Apply(node.production, tuple(kids)) if frame[2] else node
+        else:
+            return value
 
 
 def _unify_pairs(pairs) -> Optional[dict]:
-    """Robinson unification with occurs check over a worklist of pairs.
+    """Robinson unification with occurs check over a worklist of pairs: the
+    triangular unifier (an image may mention variables bound later), or
+    None.  ``resolve`` applies it.
 
-    Non-replaceable variables behave as constants.  Bindings are kept
-    triangular (an image may mention variables bound later) and each popped
-    pair is dereferenced lazily; the unifier is resolved once at the end, so
-    the result is idempotent.  Pairs are taken in the same order, and the
-    left side is preferred as the bound variable, as in eager Robinson
-    unification (which rewrites the worklist after every binding), so both
-    return the same dict.  Dereferencing, the occurs check and the
-    resolution use explicit stacks, so term depth is not limited by Python's
-    recursion limit there.
+    Non-replaceable variables behave as constants.  Each popped pair is
+    dereferenced lazily.  Pairs are taken in the same order, and the left
+    side is preferred as the bound variable, as in eager Robinson
+    unification (which rewrites the worklist after every binding), so
+    resolving every bound variable gives the same dict.  Dereferencing and
+    the occurs check use explicit stacks, so term depth is not limited by
+    Python's recursion limit there.
     """
     bound = {}
     work = list(pairs)
@@ -327,32 +325,42 @@ def _unify_pairs(pairs) -> Optional[dict]:
         if _occurs(var, image, bound):
             return None
         bound[var] = image
-    return _resolve(bound)
+    return bound
 
 
 def unify_expressions(e1: Expression, e2: Expression) -> Optional[Substitution]:
     """Most general substitution making both sides equal, or None."""
-    raw = _unify_pairs([(e1, e2)])
-    return None if raw is None else Substitution(raw)
+    bound = _unify_pairs([(e1, e2)])
+    return None if bound is None else unifier_delta(bound)
 
 
-def unify_substitutions(subs: Sequence[Substitution]):
-    """Most general (delta, com) with compose(delta, s_i) all equal.
+def unify_substitutions(subs: Sequence[Substitution]) -> Optional[dict]:
+    """The triangular unifier of the substitutions, or None when none exists.
 
-    ``com`` is that common composite.  The empty sequence unifies trivially.
-    Returns None when no unifier exists.
+    It stands for the most general ``delta`` with ``compose(delta, s_i)``
+    all equal, and ``com`` is that common composite; ``unifier_delta`` and
+    ``unifier_com`` build them, and ``resolve`` maps a single term through
+    ``delta``.  The empty sequence unifies trivially.
     """
-    subs = list(subs)
-    if not subs:
-        return EMPTY, EMPTY
     maps = [s._bindings for s in subs]
     domain = sorted({v for m in maps for v in m}, key=lambda v: v.name)
     pairs = []
     for a, b in zip(maps, maps[1:]):
         for v in domain:
             pairs.append((a.get(v, v), b.get(v, v)))
-    raw = _unify_pairs(pairs)
-    if raw is None:
-        return None
-    delta = Substitution(raw)
-    return delta, compose(delta, subs[0])
+    return _unify_pairs(pairs)
+
+
+def unifier_delta(bound) -> Substitution:
+    """The idempotent unifier of triangular bindings: every bound variable
+    resolved."""
+    if not bound:
+        return EMPTY
+    memo = {}
+    return Substitution({v: resolve(bound, memo, v) for v in bound})
+
+
+def unifier_com(bound, first: Substitution) -> Substitution:
+    """The composite ``compose(delta, first)`` of the triangular unifier of
+    substitutions whose first is ``first``: what each of them becomes."""
+    return compose(unifier_delta(bound), first) if bound else first

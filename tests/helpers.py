@@ -450,16 +450,18 @@ def reference_saturate(d, s, b):
 # -- reference crossing ------------------------------------------------------
 # The rule-node crossing the search used before it stopped at a full node
 # whose certificate cap had tripped: it tests every tuple of the product and
-# yields each new rule certificate.  Kept only as the oracle of the
-# differential tests in test_search.py, which monkeypatch it over the
-# search's crossing, plf.search._cross.
+# yields each new rule certificate.  Its label is built the eager way, from
+# the composite com of the children's labels, where the search resolves one
+# term at a time.  Kept only as the oracle of the differential tests in
+# test_search.py, which monkeypatch it over the search's crossing,
+# plf.search._cross.
 
 
 def reference_propagate_anode(state, rule_id, trigger):
     import time
     from itertools import product
 
-    from plf.term import apply, unify_substitutions
+    from plf.term import apply, unifier_com, unify_substitutions
 
     rule = state.rules[rule_id]
     trig_goal = state.certs[trigger].goal
@@ -473,13 +475,14 @@ def reference_propagate_anode(state, rule_id, trigger):
         if time.monotonic() > state.deadline:
             return
         state.stats.tuples_tested += 1
-        outcome = unify_substitutions([state.certs[c].label for c in combo])
-        if outcome is None:
+        subs = [state.certs[c].label for c in combo]
+        bound = unify_substitutions(subs)
+        if bound is None:
             continue
         state.stats.tuples_unified += 1
-        delta, com = outcome
+        com = unifier_com(bound, subs[0])
         label = Substitution({v: apply(com, apply(edge, v)) for v in parent_scope})
-        cid = state._add_cert(rule.parent, rule_id, label, combo, com, delta)
+        cid = state._add_cert(rule.parent, rule_id, label, combo, bound, subs[0])
         if cid is not None:
             yield cid
 

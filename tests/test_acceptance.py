@@ -38,6 +38,8 @@ from plf.term import (
     freeze_expression,
     match_expression,
     match_many,
+    unifier_com,
+    unifier_delta,
     unify_substitutions,
     variables_of,
 )
@@ -275,7 +277,7 @@ def test_criterion_6_substitution_unification_kernel(hilbert):
             if enumerated:
                 failures += 1
         else:
-            delta, com = out
+            delta, com = unifier_delta(out), unifier_com(out, thetas[0])
             if any(
                 compose(delta, thetas[i]) != compose(delta, thetas[j])
                 for i in range(len(thetas))

@@ -18,7 +18,16 @@ from plf import (
 from plf.proof import proof_leaves, serialize_proof
 from plf.search import expand_enode, extract_proof, propagate_anode, seed_leaf_spts
 from plf.grammar import Apply
-from plf.term import EMPTY, Substitution, apply, freeze_expression, unify_substitutions, variables_of
+from plf.term import (
+    EMPTY,
+    Substitution,
+    apply,
+    freeze_expression,
+    unifier_com,
+    unifier_delta,
+    unify_substitutions,
+    variables_of,
+)
 from conftest import HILBERT_PLS
 from helpers import (
     assertion_multiset,
@@ -240,14 +249,17 @@ def test_timeout_holds_inside_crossing(monkeypatch):
 
 def _search_record(state, outcome):
     """Everything a search decides: verdict, limit, proof text, node and
-    certificate counts, and every certificate in id order."""
+    certificate counts, every certificate in id order, and the delta and
+    com that each certificate's stored unifier stands for."""
     stats = outcome.stats
+    certs = list(state.certs.values())  # id, goal, rule, label, children, unifier, first
     return (
         type(outcome).__name__,
         getattr(outcome, "limit", None),
         serialize_proof(outcome.proof) if isinstance(outcome, Proved) else None,
         (stats.goal_nodes, stats.rule_nodes, stats.certificates),
-        list(state.certs.values()),  # id, goal, rule, label, children, com, delta
+        certs,
+        [(unifier_delta(c.unifier), unifier_com(c.unifier, c.first)) for c in certs],
     )
 
 
@@ -687,11 +699,13 @@ def test_every_certificate_unfolds_to_a_valid_proof(hilbert):
 @pytest.mark.parametrize("field", ["label", "delta"])
 def test_certificate_problems_reports_a_tampered_certificate(hilbert, field):
     # the soundness check can fail: one stored certificate with a wrong
-    # label (its claimed instance) or delta (its children's reconciliation)
+    # label (its claimed instance) or delta (its children's reconciliation,
+    # which extraction builds from the stored unifier: emptied here)
     state = fresh_state(hilbert, "id")
     run(state, SearchLimits(max_depth=6, timeout=10))
-    victim = next(c for c in state.certs.values() if getattr(c, field))
-    state.certs[victim.id] = dataclasses.replace(victim, **{field: EMPTY})
+    stored = {"label": "label", "delta": "unifier"}[field]
+    victim = next(c for c in state.certs.values() if getattr(c, stored))
+    state.certs[victim.id] = dataclasses.replace(victim, **{stored: EMPTY})
     assert victim.id in [cid for cid, _ in certificate_problems(state)]
 
 

@@ -12,15 +12,19 @@ from plf.term import (
     compose,
     freeze_expression,
     match_expression,
+    resolve,
     restrict,
     _unify_pairs,
     substitution_text,
+    unifier_com,
+    unifier_delta,
     unify_expressions,
     unify_substitutions,
     variables_of,
 )
 from conftest import HILBERT_PLS
 from helpers import (
+    _ref_apply,
     enumerate_trees,
     expr,
     flagged,
@@ -254,7 +258,7 @@ def test_unify_substitutions_example(hilbert):
     theta2 = Substitution({_v(hilbert, "ph"): _frozen_expr(hilbert, "( ch -> q )", {"p", "q"})})
     out = unify_substitutions([theta1, theta2])
     assert out is not None
-    delta, com = out
+    delta, com = unifier_delta(out), unifier_com(out, theta1)
     assert {v.name: render_string(e) for v, e in delta.items()} == {"ps": "q", "ch": "p"}
     assert {v.name: render_string(e) for v, e in com.items()} == {
         "ph": "( p -> q )",
@@ -266,7 +270,8 @@ def test_unify_substitutions_example(hilbert):
 
 def test_unify_substitutions_identical(hilbert):
     theta = sub(hilbert, ph="( p -> q )")
-    delta, com = unify_substitutions([theta, theta])
+    out = unify_substitutions([theta, theta])
+    delta, com = unifier_delta(out), unifier_com(out, theta)
     assert delta == EMPTY
     assert com == theta
 
@@ -278,7 +283,8 @@ def test_unify_substitutions_constant_clash(hilbert):
 
 
 def test_unify_substitutions_empty_sequence():
-    assert unify_substitutions([]) == (EMPTY, EMPTY)
+    out = unify_substitutions([])
+    assert (unifier_delta(out), unifier_com(out, EMPTY)) == (EMPTY, EMPTY)
 
 
 def _v(d, name):
@@ -307,7 +313,7 @@ def test_unify_substitutions_factorization_random(hilbert):
         if out is None:
             assert enumerated == []
         else:
-            delta, com = out
+            delta, com = unifier_delta(out), unifier_com(out, thetas[0])
             for i, j in itertools.combinations(range(len(thetas)), 2):
                 assert compose(delta, thetas[i]) == compose(delta, thetas[j])
             assert com == compose(delta, thetas[0])
@@ -352,6 +358,15 @@ def _exact(bindings):
     return [(v.name, v.replaceable, flagged(e)) for v, e in bindings.items()]
 
 
+def _resolved(bound):
+    """Triangular bindings with every bound variable resolved, in binding
+    order; None stays None."""
+    if bound is None:
+        return None
+    memo = {}
+    return {v: resolve(bound, memo, v) for v in bound}
+
+
 def _mixed_leaves(g):
     """Fresh (replaceable) and frozen variables, including frozen twins of
     replaceable names: ``==`` equates twins, substitution tells them apart."""
@@ -393,7 +408,7 @@ def test_unify_expressions_equals_reference_random(hilbert):
     unified = 0
     for _ in range(3000):
         e1, e2 = _random_pair(rng, g, leaves)
-        raw = _unify_pairs([(e1, e2)])
+        raw = _resolved(_unify_pairs([(e1, e2)]))
         assert _exact(raw) == _exact(reference_unify_pairs([(e1, e2)]))
         got = unify_expressions(e1, e2)
         assert _exact(got) == _exact(None if raw is None else Substitution(raw))
@@ -401,25 +416,31 @@ def test_unify_expressions_equals_reference_random(hilbert):
     assert unified > 300  # the sample is not dominated by clashes
 
 
+def _random_thetas(rng, g, leaves):
+    """One to three substitutions over the replaceable leaves whose images
+    are fresh random terms or flipped copies of shared ones."""
+    domain = [v for v in leaves["wff"] if v.replaceable]
+    shared = {v: random_expression(rng, g, "wff", rng.choice([1, 3, 7]), leaves) for v in domain}
+    thetas = []
+    for _ in range(rng.choice([1, 2, 2, 3])):
+        bindings = {}
+        for v in domain:
+            roll = rng.random()
+            if roll < 0.3:
+                bindings[v] = _flip(rng, shared[v])
+            elif roll < 0.5:
+                bindings[v] = random_expression(rng, g, "wff", rng.choice([1, 3, 7]), leaves)
+        thetas.append(Substitution(bindings))
+    return thetas
+
+
 def test_unify_substitutions_equals_reference_random(hilbert):
     g = hilbert.grammar
     rng = random.Random(43)
     leaves = _mixed_leaves(g)
-    domain = [v for v in leaves["wff"] if v.replaceable]
     unified = 0
     for _ in range(1500):
-        # images are fresh random terms or flipped copies of shared ones
-        shared = {v: random_expression(rng, g, "wff", rng.choice([1, 3, 7]), leaves) for v in domain}
-        thetas = []
-        for _ in range(rng.choice([1, 2, 2, 3])):
-            bindings = {}
-            for v in domain:
-                roll = rng.random()
-                if roll < 0.3:
-                    bindings[v] = _flip(rng, shared[v])
-                elif roll < 0.5:
-                    bindings[v] = random_expression(rng, g, "wff", rng.choice([1, 3, 7]), leaves)
-            thetas.append(Substitution(bindings))
+        thetas = _random_thetas(rng, g, leaves)
         got = unify_substitutions(thetas)
         want = reference_unify_substitutions(thetas)
         if want is None:
@@ -427,8 +448,43 @@ def test_unify_substitutions_equals_reference_random(hilbert):
             continue
         unified += 1
         assert got is not None
+        got = unifier_delta(got), unifier_com(got, thetas[0])
         assert [_exact(s) for s in got] == [_exact(s) for s in want]
     assert unified > 300
+
+
+def test_resolve_equals_apply_of_delta_random(hilbert):
+    # the triangular unifier against the eager reference: its delta and com
+    # through the accessors, and the resolver's image of random terms, with
+    # the memo shared across terms, against apply(delta, e); mapping through
+    # the first substitution first gives apply(com, e), the crossing's
+    # label.  Substitution drops a variable bound to its frozen twin as an
+    # identity, so there the images differ in that flag alone (the search
+    # has no twins: fresh names hold "#"); flags are compared against the
+    # resolved bindings before Substitution filters them.
+    g = hilbert.grammar
+    rng = random.Random(47)
+    leaves = _mixed_leaves(g)
+    unified = 0
+    for _ in range(1000):
+        thetas = _random_thetas(rng, g, leaves)
+        bound = unify_substitutions(thetas)
+        want = reference_unify_substitutions(thetas)
+        assert (bound is None) == (want is None)
+        if bound is None:
+            continue
+        unified += 1
+        delta, com = unifier_delta(bound), unifier_com(bound, thetas[0])
+        assert (_exact(delta), _exact(com)) == (_exact(want[0]), _exact(want[1]))
+        exact = _resolved(bound)
+        memo = {}
+        for _ in range(4):
+            e = random_expression(rng, g, "wff", rng.choice([1, 3, 7, 11]), leaves)
+            image = resolve(bound, memo, e)
+            assert image == apply(delta, e)
+            assert flagged(image) == flagged(_ref_apply(exact, e))
+            assert resolve(bound, memo, apply(thetas[0], e)) == apply(com, e)
+    assert unified > 200
 
 
 def _chain(implication, antecedents, last):
@@ -455,6 +511,22 @@ def test_unify_deep_chains_without_recursion(hilbert):
     right = _chain(imp, [p] + xs[:1999], y)
     want = Substitution({**{x: p for x in xs[:2000]}, y: tail})
     assert unify_expressions(left, right) == want
+
+
+def test_unify_substitutions_deep_image_without_recursion(hilbert):
+    # ph takes a 2,000-deep image ending in ps, and ps := p: crossing reads
+    # the unifier through resolve, which composes nothing, so no recursion
+    g = hilbert.grammar
+    (imp,) = [p for p in g.productions if p.id == "imp"]
+    ph, ps = _v(hilbert, "ph"), _v(hilbert, "ps")
+    p, q = (freeze_expression(g.variable(n)) for n in ("p", "q"))
+    bound = unify_substitutions([
+        Substitution({ph: _chain(imp, [q] * 2000, ps)}),
+        Substitution({ps: p}),
+    ])
+    assert bound is not None
+    assert resolve(bound, {}, ph) == _chain(imp, [q] * 2000, p)
+    assert resolve(bound, {}, ps) == p
 
 
 # -- restrict and substitution basics --------------------------------------
