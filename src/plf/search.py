@@ -58,6 +58,28 @@ up the ancestor path per popped goal serves both the loop check and the
 failed-ancestor check, and the bookkeeping lives in ``run``, outside
 expansion.
 
+A full goal closes its subtree, the twin of failure on the cap's side (a
+node whose value can no longer change is closed, as in AO*).  Once the cap
+has tripped, a goal that holds at least one certificate and
+``max_spts_per_node`` of them is *full*: it refuses every later
+certificate, and its list only grows, so it stays full.  Nothing beneath a
+full goal is expanded (a popped goal with a full goal on its ancestor path
+is dropped, like one under a failed rule node: not expanded, not counted
+against the depth limit, not failed), and a certificate is not crossed at
+its goal's parent rule node when that node's parent goal, or a goal above
+it, is full.  This loses nothing.  A certificate reaches the root only by
+being held at every goal on its path, and a full goal holds nothing new.  A
+goal that holds a certificate never fails (it matches a premise, or one of
+its rule nodes holds a certificate, so each of that node's children holds
+one), so no failure could have crossed the full goal, and ``Exhausted`` is
+unaffected.  And since the cap had already tripped, the queue running dry
+could no longer give ``Exhausted``: the only verdict that moves is the
+limit named, ``spts`` instead of ``depth`` when every depth-capped goal lay
+beneath a full goal.  A goal with no certificate is never full, so at cap 0,
+where every certificate is refused, goals still fail.  The ancestor walk of
+the loop check serves the closure too, and the closure costs nothing until
+the cap trips.
+
 Certificates pass through one agenda.  Seeding (a premise leaf) and a
 premise-less rule node only queue theirs on ``state.agenda``;
 ``propagate_anode`` alone holds them at goals, carries them up and crosses
@@ -445,8 +467,10 @@ def propagate_anode(state: SearchState) -> None:
     before the next is made: it is held by its rule node or, for a premise
     leaf, by its goal, unless that node is full; one derived at a rule node
     is put on its goal's list too, unless the goal is full; and a goal's new
-    certificate is crossed at the goal's parent rule node.  Reaching the
-    root proves the statement, and then nothing more is held or crossed."""
+    certificate is crossed at the goal's parent rule node, unless that node
+    lies under a full goal once the cap has tripped (``_under_full``).
+    Reaching the root proves the statement, and then nothing more is held
+    or crossed."""
     crossings = []
     while True:
         if crossings:
@@ -467,7 +491,31 @@ def propagate_anode(state: SearchState) -> None:
             state.proved = new
             state._emit("PROVED e{}", state.root)
             return
-        crossings.append(_cross(state, state.goals[cert.goal].parent, new))
+        rule_id = state.goals[cert.goal].parent
+        if state.certs_capped and _under_full(state, rule_id):
+            continue
+        crossings.append(_cross(state, rule_id, new))
+
+
+def _full_size(state: SearchState) -> float:
+    """How many certificates make a goal full and close its subtree (see
+    the module docstring): the cap, but at least one, once the cap has
+    tripped; before that, none does."""
+    if not state.certs_capped:
+        return math.inf
+    return max(state.limits.max_spts_per_node, 1)
+
+
+def _under_full(state: SearchState, rule_id: Optional[int]) -> bool:
+    """Whether the rule node lies under a full goal: its parent goal or a
+    goal above it is full, so no certificate it derives can reach the root."""
+    full = _full_size(state)
+    while rule_id is not None:
+        goal = state.goals[state.rules[rule_id].parent]
+        if len(goal.certs) >= full:
+            return True
+        rule_id = goal.parent
+    return False
 
 
 def _cross(state: SearchState, rule_id: int, trigger: int):
@@ -548,9 +596,9 @@ def extract_proof(state: SearchState, cert_id: int) -> ProofNode:
 def run(state: SearchState, limits: SearchLimits) -> SearchOutcome:
     """Alternate FIFO goal expansion with eager certificate propagation until
     the root is certified, the tree is exhausted, or a limit trips.  A
-    closed goal that repeats an ancestor, and a goal under a failed rule
-    node, are dropped unexpanded; a failed root ends the search
-    ``Exhausted`` (see the module docstring)."""
+    closed goal that repeats an ancestor, a goal under a failed rule node
+    and a goal beneath a full goal are dropped unexpanded; a failed root
+    ends the search ``Exhausted`` (see the module docstring)."""
     if not limits.max_nodes >= 1:
         raise ValueError(
             f"max_nodes must be >= 1, since the root goal is a node, not {limits.max_nodes!r}"
@@ -583,7 +631,7 @@ def run(state: SearchState, limits: SearchLimits) -> SearchOutcome:
         goal_id = state.queue.popleft()
         goal = state.goals[goal_id]
         cut = _cut(state, goal)
-        if cut == "failed":
+        if cut == "failed" or cut == "full":
             continue
         if cut == "loop":
             state._emit("LOOP e{}", goal_id)
@@ -603,17 +651,21 @@ def run(state: SearchState, limits: SearchLimits) -> SearchOutcome:
 def _cut(state: SearchState, goal: GoalNode) -> Optional[str]:
     """One walk up the goal's ancestor path (parent rule, that rule's goal,
     up to the root), nearest first: ``"failed"`` at a failed rule node,
-    ``"loop"`` at a goal that a closed goal equals, None if neither occurs.
-    Open goals are never loop-cut."""
+    ``"full"`` at a full goal once the cap has tripped, ``"loop"`` at a goal
+    that a closed goal equals, None if none occurs.  Open goals are never
+    loop-cut."""
     closed = not goal.scope
     failed = state.failed
-    if not (closed or failed):
+    if not (closed or failed or state.certs_capped):
         return None
+    full = _full_size(state)
     rule_id = goal.parent
     while rule_id is not None:
         if rule_id in failed:
             return "failed"
         ancestor = state.goals[state.rules[rule_id].parent]
+        if len(ancestor.certs) >= full:
+            return "full"
         if closed and ancestor.expression == goal.expression:
             return "loop"
         rule_id = ancestor.parent

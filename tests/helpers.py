@@ -3,8 +3,12 @@ independent brute-force enumerators the properties check against."""
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
+from contextlib import contextmanager
+
+import pytest
 
 from plf import AmbiguousParseError, Inference, NoParseError, ProofNode
 from plf.grammar import Apply, Lit, Var, _Chart, parse_any_kind, render_expression
@@ -511,6 +515,51 @@ def certificate_problems(state):
         if problems:
             out.append((cert.id, problems))
     return out
+
+
+# -- the closure of full goals, on and off -----------------------------------
+# Once the certificate cap has tripped, a goal that holds its cap of
+# certificates closes its subtree: nothing beneath it is expanded or
+# crossed.  The search without the closure is the search with no goal ever
+# full, plf.search._full_size patched to infinity.
+
+
+@contextmanager
+def without_closure():
+    """Searches run inside see no goal as full, so no subtree closes."""
+    import plf.search
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(plf.search, "_full_size", lambda state: math.inf)
+        yield
+
+
+# How late a verdict comes: a limit that trips mid-run, then the limits
+# reported when the queue runs dry, then Exhausted (no limit).
+STOP_ORDER = {"nodes": 0, "timeout": 0, "depth": 1, "spts": 2, None: 3}
+
+
+def search_with_and_without_closure(d, sid, limits):
+    """Run the search as it is and with no goal ever full.  If either
+    proves, both must, with the same proof text; otherwise the closing
+    search's verdict comes no earlier in STOP_ORDER.  It never makes more
+    nodes or crosses more tuples.  Returns both outcomes, the closing
+    search's first."""
+    from plf import Proved, init_search, run
+    from plf.proof import serialize_proof
+
+    out = run(init_search(d, d.statement(sid)), limits)
+    with without_closure():
+        unclosed = run(init_search(d, d.statement(sid)), limits)
+    if isinstance(out, Proved) or isinstance(unclosed, Proved):
+        assert isinstance(out, Proved) and isinstance(unclosed, Proved), sid
+        assert serialize_proof(out.proof) == serialize_proof(unclosed.proof), sid
+    else:
+        before, after = getattr(unclosed, "limit", None), getattr(out, "limit", None)
+        assert STOP_ORDER[after] >= STOP_ORDER[before], (sid, before, after)
+    assert out.stats.nodes <= unclosed.stats.nodes, sid
+    assert out.stats.tuples_tested <= unclosed.stats.tuples_tested, sid
+    return out, unclosed
 
 
 # -- reference expansion -----------------------------------------------------

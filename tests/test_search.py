@@ -1,4 +1,5 @@
 import dataclasses
+from contextlib import nullcontext
 
 import pytest
 
@@ -36,7 +37,10 @@ from helpers import (
     flagged,
     reference_expand_enode,
     reference_propagate_anode,
+    search_with_and_without_closure,
+    STOP_ORDER,
     sub,
+    without_closure,
 )
 from randsys import corpus
 from test_acceptance import CORPUS_SEED, CORPUS_SYSTEMS, SEARCH_LIMITS
@@ -221,11 +225,16 @@ HARD_HILBERT = load_system(
     + 'statement imim1 : => "( ( p -> q ) -> ( ( q -> r ) -> ( p -> r ) ) )"\n'
     + 'statement syl5 : "( p -> q )" "( r -> ( q -> ch ) )" => "( r -> ( p -> ch ) )"\n'
 )
+HARD_AT_CAP_20 = [
+    (HARD_HILBERT, sid, SearchLimits(max_depth=8, max_spts_per_node=20, timeout=600.0))
+    for sid in ("syld", "imim1", "syl5")
+]
 
 
 def test_timeout_holds_inside_crossing(monkeypatch):
-    # syld crosses thousands of tuples per expansion at depth 8; a clock that
-    # jumps past the deadline on its 3000th read must stop the crossing at once
+    # at the default cap syld crosses about a million tuples, most of them
+    # at a few rule nodes near the root; a clock that jumps past the
+    # deadline on its 3000th read must stop the crossing at once
     state = fresh_state(HARD_HILBERT, "syld")
     reads = 0
     tested_when_passed = []
@@ -240,7 +249,7 @@ def test_timeout_holds_inside_crossing(monkeypatch):
         return 1e9
 
     monkeypatch.setattr(plf.search.time, "monotonic", clock)
-    out = run(state, SearchLimits(max_depth=8, max_spts_per_node=20, timeout=60.0))
+    out = run(state, SearchLimits(max_depth=8, timeout=60.0))
     assert isinstance(out, LimitReached)
     assert out.limit == "timeout"
     assert tested_when_passed and tested_when_passed[0] > 0
@@ -278,19 +287,30 @@ def _same_as_reference_crossing(monkeypatch, d, sid, limits):
     return out, ref
 
 
+# A rule node that fills puts its goal at the cap too, which closes the
+# goal's subtree, so no crossing starts there again; the full-node stop
+# saves only the rest of the crossing under way when the node fills.  At
+# cap 10 that happens on all three hard items (1 to 3 tuples each).
 @pytest.mark.parametrize("sid", ["syld", "imim1", "syl5"])
 def test_crossing_equals_reference_on_hard_hilbert(monkeypatch, sid):
-    limits = SearchLimits(max_depth=8, max_spts_per_node=20, timeout=600.0)
+    limits = SearchLimits(max_depth=8, max_spts_per_node=10, timeout=600.0)
     out, ref = _same_as_reference_crossing(monkeypatch, HARD_HILBERT, sid, limits)
     assert out.stats.tuples_tested < ref.stats.tuples_tested
 
 
-# Slices on which some node still fills: with closed repeats cut, no node of
-# the first 40 systems reaches either cap.
+# Slices on which the cap trips.  Of the first 250 systems, only s1 of the
+# 152nd (corpus index 151) fills a rule node mid-crossing, and only at cap
+# 40, so only that slice shows the full-node stop saving tuples; at caps 2
+# and 120 the two crossings test the same tuples.
 @pytest.mark.parametrize(
-    "cap, systems", [pytest.param(2, 80, id="2"), pytest.param(120, CORPUS_SYSTEMS, id="120")]
+    "cap, systems, saves",
+    [
+        pytest.param(2, 80, False, id="2"),
+        pytest.param(40, 152, True, id="40"),
+        pytest.param(120, CORPUS_SYSTEMS, False, id="120"),
+    ],
 )
-def test_crossing_equals_reference_on_corpus(monkeypatch, cap, systems):
+def test_crossing_equals_reference_on_corpus(monkeypatch, cap, systems, saves):
     limits = SearchLimits(max_depth=6, max_nodes=4000, max_spts_per_node=cap, timeout=600.0)
     verdicts = set()
     tested = [0, 0]
@@ -301,7 +321,7 @@ def test_crossing_equals_reference_on_corpus(monkeypatch, cap, systems):
             tested[0] += out.stats.tuples_tested
             tested[1] += ref.stats.tuples_tested
     assert verdicts == {"Proved", "Exhausted", "LimitReached"}
-    assert tested[0] < tested[1]  # the slice reaches a full node
+    assert (tested[0] < tested[1]) == saves
 
 
 def _tree_record(state, lines):
@@ -346,10 +366,15 @@ def _same_as_reference_expansion(monkeypatch, d, sid, limits):
 
 @pytest.mark.parametrize("sid", ["syld", "imim1", "syl5"])
 def test_expansion_equals_reference_on_hard_hilbert(monkeypatch, sid):
-    limits = SearchLimits(max_depth=8, max_spts_per_node=20, timeout=600.0)
+    # at cap 0 no goal holds a certificate, so none is ever full and the
+    # whole depth-8 tree is built: its 511 goal nodes fall into 15 variant
+    # classes; at cap 20 full goals close their subtrees early
+    limits = SearchLimits(max_depth=8, max_spts_per_node=0, timeout=600.0)
     state, out = _same_as_reference_expansion(monkeypatch, HARD_HILBERT, sid, limits)
-    # 511 goal nodes of syld fall into 17 variant classes
     assert 0 < len(state.expansions) < out.stats.goal_nodes / 10
+    limits = dataclasses.replace(limits, max_spts_per_node=20)
+    _, out = _same_as_reference_expansion(monkeypatch, HARD_HILBERT, sid, limits)
+    assert out.stats.certificates > 0
 
 
 def test_expansion_equals_reference_on_corpus(monkeypatch):
@@ -574,9 +599,7 @@ def _certificate_invariants(state):
 
 
 def test_certificate_invariants_hold():
-    cases = [(HARD_HILBERT, sid, SearchLimits(max_depth=8, max_spts_per_node=20, timeout=600.0))
-             for sid in ("syld", "imim1", "syl5")]
-    cases += [(d, s.id, SEARCH_LIMITS) for d in corpus(CORPUS_SEED, 40) for s in d.statements]
+    cases = HARD_AT_CAP_20 + [(d, s.id, SEARCH_LIMITS) for d in corpus(CORPUS_SEED, 40) for s in d.statements]
     verdicts = set()
     for d, sid, limits in cases:
         state = init_search(d, d.statement(sid))
@@ -587,10 +610,16 @@ def test_certificate_invariants_hold():
 
 
 def test_full_node_stops_crossing_on_syld():
+    # goals near the root fill soon after the cap trips, and nothing beneath
+    # them is expanded or crossed: 27 goal nodes and 543 tuples, where the
+    # search without the closure builds all 511 goal nodes of the depth-8
+    # tree and crosses 3,944 tuples (17,808 when every tuple is crossed);
+    # every goal left at the depth cap lies beneath a full goal, so the
+    # search ends at the certificate cap, not the depth limit
     state = fresh_state(HARD_HILBERT, "syld")
     out = run(state, SearchLimits(max_depth=8, max_spts_per_node=20, timeout=600.0))
-    assert isinstance(out, LimitReached) and out.limit == "depth"
-    assert out.stats.tuples_tested < 5000  # 17,808 when every tuple is crossed
+    assert isinstance(out, LimitReached) and out.limit == "spts"
+    assert out.stats.goal_nodes < 50 and out.stats.tuples_tested < 1000
 
 
 # The open goal k x#0 is proved by up from two goals h y#1 and h z#1, each of
@@ -621,16 +650,23 @@ statement s : => "g"
 """
 
 
+# up's certificates come three at a time, as the certificates of h z#1 (a
+# then b then c) are crossed against the three of h y#1.
 @pytest.mark.parametrize(
-    "cap, verdict, tested",
+    "cap, verdict, tested, ref_tested",
     [
-        (10, "Exhausted", 9),
-        (9, "Exhausted", 9),  # the node is exactly full after the last tuple
-        (8, "LimitReached", 9),  # the last tuple is rejected by the cap
-        (4, "LimitReached", 5),  # the fifth is rejected; the rest are not crossed
+        pytest.param(10, "Exhausted", 9, 9, id="10-Exhausted-9"),
+        # the node is exactly full after the last tuple
+        pytest.param(9, "Exhausted", 9, 9, id="9-Exhausted-9"),
+        # the last tuple is rejected by the cap
+        pytest.param(8, "LimitReached", 9, 9, id="8-LimitReached-9"),
+        # the fifth is rejected and the rest are not crossed; the reference
+        # crosses the sixth, the end of the crossing under way, but k is then
+        # full, which closes its subtree, so z#1 := c is crossed by neither
+        pytest.param(4, "LimitReached", 5, 6, id="4-LimitReached-5"),
     ],
 )
-def test_cap_boundary_between_spts_and_exhausted(monkeypatch, cap, verdict, tested):
+def test_cap_boundary_between_spts_and_exhausted(monkeypatch, cap, verdict, tested, ref_tested):
     # tested counts up's tuples; top then crosses each certificate k holds
     d = load_system(NINE_TUPLES)
     limits = SearchLimits(max_depth=4, max_spts_per_node=cap, timeout=600.0)
@@ -639,7 +675,7 @@ def test_cap_boundary_between_spts_and_exhausted(monkeypatch, cap, verdict, test
     if verdict == "LimitReached":
         assert out.limit == "spts"
     held = min(cap, 9)
-    assert (out.stats.tuples_tested, ref.stats.tuples_tested) == (tested + held, 9 + held)
+    assert (out.stats.tuples_tested, ref.stats.tuples_tested) == (tested + held, ref_tested + held)
     state = init_search(d, d.statement("s"))
     run(state, limits)
     assert state.failed == set()
@@ -812,11 +848,6 @@ def test_open_repeat_of_an_ancestor_is_expanded():
     assert [l for l in lines if l.startswith("LOOP")] == ["LOOP e1"]
 
 
-# How late a verdict comes: a limit that trips mid-run, then the limits
-# reported when the queue runs dry, then Exhausted (no limit).
-_STOP_ORDER = {"nodes": 0, "timeout": 0, "depth": 1, "spts": 2, None: 3}
-
-
 def _ancestor_rules(state, goal_id):
     rule_id = state.goals[goal_id].parent
     while rule_id is not None:
@@ -831,10 +862,8 @@ def _failed_ancestor_only(state, goal):
 
 
 def test_loop_check_keeps_proofs_and_only_improves_verdicts(monkeypatch):
-    cases = [(HARD_HILBERT, sid, SearchLimits(max_depth=8, max_spts_per_node=20, timeout=600.0))
-             for sid in ("syld", "imim1", "syl5")]
     at_corpus = SearchLimits(max_depth=6, max_nodes=4000, max_spts_per_node=120, timeout=600.0)
-    cases += [(d, s.id, at_corpus) for d in corpus(CORPUS_SEED, 40) for s in d.statements]
+    cases = HARD_AT_CAP_20 + [(d, s.id, at_corpus) for d in corpus(CORPUS_SEED, 40) for s in d.statements]
     changed = 0
     for d, sid, limits in cases:
         out = run(init_search(d, d.statement(sid)), limits)
@@ -846,7 +875,7 @@ def test_loop_check_keeps_proofs_and_only_improves_verdicts(monkeypatch):
             assert serialize_proof(out.proof) == serialize_proof(uncut.proof)
             continue
         before, after = getattr(uncut, "limit", None), getattr(out, "limit", None)
-        assert _STOP_ORDER[after] >= _STOP_ORDER[before], (sid, before, after)
+        assert STOP_ORDER[after] >= STOP_ORDER[before], (sid, before, after)
         changed += before != after
     assert changed > 0
 
@@ -970,3 +999,116 @@ def test_failure_is_sound_at_small_caps():
                 if isinstance(out, Proved):
                     proved_above.add((i, s.id))
     assert checked > 3 * 300
+
+
+def _corpus_at_caps(caps, systems=150):
+    cases = []
+    for cap in caps:
+        limits = dataclasses.replace(SEARCH_LIMITS, max_spts_per_node=cap, timeout=600.0)
+        cases += [(d, s.id, limits) for d in corpus(CORPUS_SEED, systems) for s in d.statements]
+    return cases
+
+
+def test_closure_keeps_proofs_and_only_improves_verdicts():
+    changed = saved = 0
+    for d, sid, limits in HARD_AT_CAP_20 + _corpus_at_caps((1, 2, 4, 120)):
+        out, unclosed = search_with_and_without_closure(d, sid, limits)
+        changed += (type(out), getattr(out, "limit", None)) != (type(unclosed), getattr(unclosed, "limit", None))
+        saved += d is not HARD_HILBERT and out.stats.nodes + out.stats.tuples_tested < (
+            unclosed.stats.nodes + unclosed.stats.tuples_tested
+        )
+    # the three hard items move from the depth limit to the cap; on corpus
+    # no verdict moves, and the closure saves work in 8 searches, all at
+    # caps 1 and 2 (at 4 and 120 no goal with a certificate fills)
+    assert changed >= 3 and saved > 0
+
+
+def _under_a_full_goal(state, rule_id):
+    """Whether, once the cap has tripped, the rule node's parent goal or a
+    goal above it holds at least one certificate and its cap of them."""
+    cap = state.limits.max_spts_per_node
+    while rule_id is not None:
+        goal = state.goals[state.rules[rule_id].parent]
+        if state.certs_capped and goal.certs and len(goal.certs) >= cap:
+            return True
+        rule_id = goal.parent
+    return False
+
+
+def test_no_goal_under_a_full_goal_is_expanded_or_crossed(monkeypatch):
+    expand, cross = plf.search.expand_enode, plf.search._cross
+    work = {}  # (hard, closing) -> [expansions, crossings started]
+
+    def expanded(state, goal_id):
+        assert not (closing and _under_a_full_goal(state, state.goals[goal_id].parent))
+        work[hard, closing][0] += 1
+        return expand(state, goal_id)
+
+    def crossed(state, rule_id, trigger):
+        assert not (closing and _under_a_full_goal(state, rule_id))
+        work[hard, closing][1] += 1
+        return cross(state, rule_id, trigger)
+
+    monkeypatch.setattr(plf.search, "expand_enode", expanded)
+    monkeypatch.setattr(plf.search, "_cross", crossed)
+    for d, sid, limits in HARD_AT_CAP_20 + _corpus_at_caps((1, 2)):
+        hard = d is HARD_HILBERT
+        for closing in (False, True):
+            work.setdefault((hard, closing), [0, 0])
+            with nullcontext() if closing else without_closure():
+                run(init_search(d, d.statement(sid)), limits)
+    # the hard items: 765 expansions and 7,556 crossings without the
+    # closure, 43 and 301 with it; corpus at caps 1 and 2: 7,686 and 969
+    # without, 7,526 and 648 with
+    assert all(c < o / 10 for c, o in zip(work[True, True], work[True, False]))
+    assert all(c < o for c, o in zip(work[False, True], work[False, False]))
+
+
+# g needs k x and n x (top).  k x is proved outright three ways (ka, kb,
+# kc) and also by kh from h x, whose chain of hh steps never ends; n x is
+# proved only with x := d, which no label of k reconciles with.  At caps 1
+# and 2, k refuses a label and is full, so h x, beneath it, is never
+# expanded.  At cap 3 nothing is refused, and the h chain runs into the
+# depth limit.
+CLOSES = """\
+kind wff
+var x : wff
+rule g : wff ::= "g"
+rule k : wff ::= "k" wff
+rule n : wff ::= "n" wff
+rule h : wff ::= "h" wff
+rule a : wff ::= "a"
+rule b : wff ::= "b"
+rule c : wff ::= "c"
+rule d : wff ::= "d"
+axiom top : "k x" "n x" => "g"
+axiom ka : => "k a"
+axiom kb : => "k b"
+axiom kc : => "k c"
+axiom kh : "h x" => "k x"
+axiom hh : "h x" => "h x"
+axiom nd : => "n d"
+statement s : => "g"
+"""
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_full_goal_leaves_its_subtree_unexpanded(cap):
+    d = load_system(CLOSES)
+    limits = SearchLimits(max_depth=5, max_spts_per_node=cap, timeout=5)
+    lines = []
+    state = init_search(d, d.statement("s"), trace=lines.append)
+    out = run(state, limits)
+    k = state.goals[1]  # g is e0, k x#0 is e1, n x#0 is e2 and h x#0 is e3
+    assert len(k.certs) == cap and state.certs_capped == (cap < 3)
+    expanded = [l for l in lines if l.startswith("EXPAND")]
+    if cap < 3:
+        assert isinstance(out, LimitReached) and out.limit == "spts"
+        assert expanded == ["EXPAND e0", "EXPAND e1", "EXPAND e2"]
+        assert state.failed == set()
+    else:
+        assert isinstance(out, LimitReached) and out.limit == "depth"
+        assert expanded[3:] == ["EXPAND e3", "EXPAND e4", "EXPAND e5"]
+    with without_closure():
+        unclosed = run(init_search(d, d.statement("s")), limits)
+    assert isinstance(unclosed, LimitReached) and unclosed.limit == "depth"
